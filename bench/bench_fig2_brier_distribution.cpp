@@ -3,14 +3,38 @@
 // we resample the whole experiment over independent seeds/splits and render
 // the distribution as box plots with the mean +/- 95% CI.
 
+#include <charconv>
+#include <cstdlib>
+#include <iostream>
+#include <string_view>
+
 #include "bench_common.h"
 #include "util/ascii_plot.h"
 #include "util/stats.h"
 
 using namespace noodle;
 
+namespace {
+
+/// argv[1] is the number of seeds (default 12). Anything but a positive
+/// integer prints usage and exits 2.
+std::size_t parse_runs(int argc, char** argv) {
+  if (argc < 2) return 12;
+  const std::string_view arg = argv[1];
+  std::size_t runs = 0;
+  const auto [end, error] = std::from_chars(arg.data(), arg.data() + arg.size(), runs);
+  if (error != std::errc{} || end != arg.data() + arg.size() || runs == 0) {
+    std::cerr << "usage: " << argv[0] << " [RUNS]\n"
+              << "  RUNS: positive number of seeds to resample (default 12)\n";
+    std::exit(2);
+  }
+  return runs;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const std::size_t runs = argc > 1 ? std::stoul(argv[1]) : 12;
+  const std::size_t runs = parse_runs(argc, argv);
   bench::banner("Fig. 2: Brier score distribution with mean interval (" +
                 std::to_string(runs) + " runs)");
 

@@ -21,9 +21,36 @@ constexpr std::size_t kCompactThreshold = 64 * 1024;
 
 }  // namespace
 
+ScanServer::Metrics::Metrics(obs::MetricsRegistry& registry)
+    : accepted(registry.counter("noodle_net_accepted_total", "TCP connections accepted.")),
+      dropped(registry.counter("noodle_net_dropped_total",
+                               "Connections closed by the server (over-cap, watchdog, "
+                               "error).")),
+      requests(registry.counter("noodle_net_requests_total",
+                                "Request lines received over TCP.")),
+      responses(registry.counter("noodle_net_responses_total",
+                                 "Response lines queued for write.")),
+      shed(registry.counter("noodle_net_shed_total",
+                            "Requests answered BUSY by admission control.")),
+      timeouts(registry.counter("noodle_net_timeouts_total",
+                                "Requests answered TIMEOUT past a deadline.")),
+      protocol_errors(registry.counter("noodle_net_protocol_errors_total",
+                                       "Malformed request lines and oversize unframed "
+                                       "reads.")),
+      bytes_rx(registry.counter("noodle_net_bytes_rx_total", "Bytes read from clients.")),
+      bytes_tx(registry.counter("noodle_net_bytes_tx_total", "Bytes written to clients.")),
+      connections(registry.gauge("noodle_net_connections", "Open TCP connections.")),
+      inflight(registry.gauge("noodle_net_inflight",
+                              "Socket requests in flight with the service.")),
+      wbuf_bytes(registry.gauge("noodle_net_wbuf_bytes",
+                                "Bytes buffered for clients across all connections.")) {}
+
 ScanServer::ScanServer(EventLoop& loop, serve::DetectionService& service,
                        ServerConfig config)
-    : loop_(loop), service_(service), config_(std::move(config)) {}
+    : loop_(loop),
+      service_(service),
+      config_(std::move(config)),
+      metrics_(service.metrics()) {}
 
 ScanServer::~ScanServer() {
   // After drain() every submit_async completion has already run (the
@@ -64,9 +91,8 @@ void ScanServer::on_accept() {
     if (connections_.size() >= config_.max_connections) {
       // Immediate close (not "leave it in the backlog"): the client gets
       // a crisp RST/EOF instead of a silent hang.
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++counters_.accepted;
-      ++counters_.dropped;
+      metrics_.accepted.inc();
+      metrics_.dropped.inc();
       continue;
     }
     auto conn = std::make_unique<Connection>();
@@ -77,11 +103,8 @@ void ScanServer::on_accept() {
     connections_.emplace(id, std::move(conn));
     loop_.add(raw_fd, EPOLLIN, [this, id](std::uint32_t events) { on_io(id, events); });
     arm_idle_timer(*connections_[id]);
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++counters_.accepted;
-      counters_.connections = connections_.size();
-    }
+    metrics_.accepted.inc();
+    metrics_.connections.add(1);
   }
 }
 
@@ -126,10 +149,7 @@ bool ScanServer::handle_read(std::uint64_t id) {
     }
     return true;
   }
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    counters_.bytes_rx += static_cast<std::uint64_t>(n);
-  }
+  metrics_.bytes_rx.inc(static_cast<std::uint64_t>(n));
   conn->rbuf.append(chunk, static_cast<std::size_t>(n));
   arm_idle_timer(*conn);
 
@@ -137,10 +157,7 @@ bool ScanServer::handle_read(std::uint64_t id) {
       conn->rbuf.find('\n') == std::string::npos) {
     // A "line" the size of the cap with no newline is not a request, it is
     // a memory exhaustion attempt (or a framing bug). Either way: out.
-    {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++counters_.protocol_errors;
-    }
+    metrics_.protocol_errors.inc();
     close_connection(id, /*server_initiated=*/true);
     return false;
   }
@@ -183,10 +200,7 @@ void ScanServer::handle_line(std::uint64_t id, std::string line) {
     return;
   }
 
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.requests;
-  }
+  metrics_.requests.inc();
   const protocol::RequestLine request = protocol::parse_request_line(
       line, [this](const std::string& name) {
         return static_cast<bool>(
@@ -203,15 +217,13 @@ void ScanServer::handle_line(std::uint64_t id, std::string line) {
     slot->echo = line;  // nothing parsed; echo what we got
     slot->ready = true;
     slot->text = protocol::status_line("bad-request", model, slot->echo) + "\n";
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.protocol_errors;
+    metrics_.protocol_errors.inc();
   } else if (draining_ || inflight_ >= config_.max_inflight) {
     // Admission control: overload (or drain) answers instantly and
     // explicitly. The client can back off; nothing queues unboundedly.
     slot->ready = true;
     slot->text = protocol::status_line("BUSY", model, slot->echo) + "\n";
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.shed;
+    metrics_.shed.inc();
   } else {
     std::string source;
     bool read_ok = true;
@@ -249,10 +261,7 @@ void ScanServer::submit_scan(Connection& conn, const std::string& spec,
   const std::uint64_t id = conn.id;
   slot->counted = true;
   ++inflight_;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    counters_.inflight = inflight_;
-  }
+  metrics_.inflight.add(1);
   if (deadline.count() > 0) {
     // The net-side guarantee: the CLIENT sees TIMEOUT at the deadline even
     // if the dispatcher is wedged under a pathological batch. Normally the
@@ -286,8 +295,7 @@ void ScanServer::settle_slot(Slot& slot) {
   if (slot.counted) {
     slot.counted = false;
     --inflight_;
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    counters_.inflight = inflight_;
+    metrics_.inflight.sub(1);
   }
   if (slot.deadline_timer != 0) {
     loop_.cancel_timer(slot.deadline_timer);
@@ -305,8 +313,7 @@ void ScanServer::complete_request(std::uint64_t id, const std::shared_ptr<Slot>&
     text = protocol::verdict_line(report, slot->echo, trace_on_);
   } catch (const serve::DeadlineError&) {
     text = protocol::status_line("TIMEOUT", slot->model, slot->echo);
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.timeouts;
+    metrics_.timeouts.inc();
   } catch (const serve::RegistryError&) {
     text = protocol::status_line("no-model", slot->model, slot->echo);
   } catch (const std::exception&) {
@@ -325,10 +332,7 @@ void ScanServer::deadline_fired(std::uint64_t id, const std::shared_ptr<Slot>& s
   settle_slot(*slot);
   slot->text = protocol::status_line("TIMEOUT", slot->model, slot->echo) + "\n";
   slot->ready = true;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++counters_.timeouts;
-  }
+  metrics_.timeouts.inc();
   Connection* conn = find(id);
   if (conn == nullptr) return;
   flush_connection(*conn);
@@ -338,14 +342,15 @@ void ScanServer::flush_connection(Connection& conn) {
   // Responses stream strictly in request order: drain the ready prefix of
   // the pipeline into the write buffer, then push bytes.
   std::uint64_t flushed = 0;
+  const std::size_t buffered = conn.buffered_bytes();
   while (!conn.pending.empty() && conn.pending.front()->ready) {
     conn.wbuf += conn.pending.front()->text;
     conn.pending.pop_front();
     ++flushed;
   }
   if (flushed > 0) {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    counters_.responses += flushed;
+    metrics_.responses.inc(flushed);
+    metrics_.wbuf_bytes.add(static_cast<std::int64_t>(conn.buffered_bytes() - buffered));
   }
   if (!write_some(conn)) return;
 
@@ -367,8 +372,8 @@ bool ScanServer::write_some(Connection& conn) {
     if (n > 0) {
       conn.wbuf_off += static_cast<std::size_t>(n);
       progressed = true;
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      counters_.bytes_tx += static_cast<std::uint64_t>(n);
+      metrics_.bytes_tx.inc(static_cast<std::uint64_t>(n));
+      metrics_.wbuf_bytes.sub(n);
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
@@ -474,13 +479,11 @@ void ScanServer::close_connection(std::uint64_t id, bool server_initiated) {
     // completed == true and drops its orphaned verdict.
     if (!slot->completed) settle_slot(*slot);
   }
+  metrics_.wbuf_bytes.sub(static_cast<std::int64_t>(conn.buffered_bytes()));
   loop_.remove(conn.fd.get());
   connections_.erase(it);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    counters_.connections = connections_.size();
-    if (server_initiated) ++counters_.dropped;
-  }
+  metrics_.connections.sub(1);
+  if (server_initiated) metrics_.dropped.inc();
   check_drained();
 }
 
@@ -527,47 +530,19 @@ void ScanServer::check_drained() {
 }
 
 ServerStats ScanServer::stats() const {
-  std::lock_guard<std::mutex> lock(stats_mu_);
-  return counters_;
-}
-
-void ScanServer::sync_metrics() {
-  // One snapshot feeds every sample (the PR 7 never-disagree rule, applied
-  // to the transport): a `!stats` net line and a scrape rendered from this
-  // sync can only differ by honest time, not by torn reads.
-  const ServerStats snapshot = stats();
-  obs::MetricsRegistry& registry = service_.metrics();
-  const auto counter = [&registry](const char* name, const char* help,
-                                   std::uint64_t value) {
-    registry.counter(name, help).set(value);
-  };
-  counter("noodle_net_accepted_total", "TCP connections accepted.", snapshot.accepted);
-  counter("noodle_net_dropped_total",
-          "Connections closed by the server (over-cap, watchdog, error).",
-          snapshot.dropped);
-  counter("noodle_net_requests_total", "Request lines received over TCP.",
-          snapshot.requests);
-  counter("noodle_net_responses_total", "Response lines queued for write.",
-          snapshot.responses);
-  counter("noodle_net_shed_total", "Requests answered BUSY by admission control.",
-          snapshot.shed);
-  counter("noodle_net_timeouts_total", "Requests answered TIMEOUT past a deadline.",
-          snapshot.timeouts);
-  counter("noodle_net_protocol_errors_total",
-          "Malformed request lines and oversize unframed reads.",
-          snapshot.protocol_errors);
-  counter("noodle_net_bytes_rx_total", "Bytes read from clients.", snapshot.bytes_rx);
-  counter("noodle_net_bytes_tx_total", "Bytes written to clients.", snapshot.bytes_tx);
-  registry.gauge("noodle_net_connections", "Open TCP connections.")
-      .set(static_cast<std::int64_t>(snapshot.connections));
-  registry.gauge("noodle_net_inflight", "Socket requests in flight with the service.")
-      .set(static_cast<std::int64_t>(snapshot.inflight));
-  std::size_t wbuf_bytes = 0;
-  for (const auto& [id, conn] : connections_) wbuf_bytes += conn->buffered_bytes();
-  registry
-      .gauge("noodle_net_wbuf_bytes",
-             "Bytes buffered for clients across all connections.")
-      .set(static_cast<std::int64_t>(wbuf_bytes));
+  ServerStats stats;
+  stats.accepted = metrics_.accepted.value();
+  stats.dropped = metrics_.dropped.value();
+  stats.requests = metrics_.requests.value();
+  stats.responses = metrics_.responses.value();
+  stats.shed = metrics_.shed.value();
+  stats.timeouts = metrics_.timeouts.value();
+  stats.protocol_errors = metrics_.protocol_errors.value();
+  stats.bytes_rx = metrics_.bytes_rx.value();
+  stats.bytes_tx = metrics_.bytes_tx.value();
+  stats.connections = static_cast<std::uint64_t>(metrics_.connections.value());
+  stats.inflight = static_cast<std::uint64_t>(metrics_.inflight.value());
+  return stats;
 }
 
 }  // namespace noodle::net

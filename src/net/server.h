@@ -31,8 +31,13 @@
 //     force-closes laggards after drain_grace, then fires on_drained —
 //     noodled flushes the disk cache and exits 0.
 //
+// Counters: the noodle_net_* handles in the service's MetricsRegistry are
+// their only store — registered at construction, updated where the state
+// changes, read by stats() and by every `!metrics` render alike. Servers
+// sharing one service share those cells.
+//
 // Threading: everything here runs on the EventLoop thread except stats()
-// (mutex-guarded, callable anywhere). Destroy the server only after the
+// (atomic loads, callable anywhere). Destroy the server only after the
 // loop has stopped; the destructor drains the service so no completion
 // callback can outlive it.
 
@@ -41,7 +46,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 
 #include "net/event_loop.h"
@@ -79,7 +83,8 @@ struct ServerConfig {
   std::chrono::milliseconds drain_grace{5000};
 };
 
-/// One consistent counter snapshot (every field read under one lock).
+/// A view of the transport counters (each field one atomic load of its
+/// noodle_net_* cell).
 struct ServerStats {
   std::uint64_t accepted = 0;        ///< connections accepted
   std::uint64_t dropped = 0;         ///< connections closed BY the server
@@ -132,12 +137,8 @@ class ScanServer {
     on_drained_ = std::move(callback);
   }
 
-  /// Thread-safe consistent snapshot.
+  /// Thread-safe view of the noodle_net_* cells.
   ServerStats stats() const;
-  /// Mirrors stats() into the service's MetricsRegistry as noodle_net_*
-  /// samples — one snapshot feeds every sample, so an exposition can never
-  /// tear. Loop thread only (reads per-connection buffers for the gauge).
-  void sync_metrics();
 
  private:
   /// One request (or control response) slot in a connection's pipeline.
@@ -211,8 +212,23 @@ class ScanServer {
   ControlHandler control_;
   std::function<void()> on_drained_;
 
-  mutable std::mutex stats_mu_;
-  ServerStats counters_;
+  /// The noodle_net_* handles in service_.metrics().
+  struct Metrics {
+    explicit Metrics(obs::MetricsRegistry& registry);
+    obs::Counter& accepted;
+    obs::Counter& dropped;
+    obs::Counter& requests;
+    obs::Counter& responses;
+    obs::Counter& shed;
+    obs::Counter& timeouts;
+    obs::Counter& protocol_errors;
+    obs::Counter& bytes_rx;
+    obs::Counter& bytes_tx;
+    obs::Gauge& connections;
+    obs::Gauge& inflight;
+    obs::Gauge& wbuf_bytes;
+  };
+  Metrics metrics_;
 };
 
 }  // namespace noodle::net

@@ -21,8 +21,7 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Scalar reference kernel (PR 4). This is the bit-identity anchor: every
-// other implementation must reproduce it exactly (or, for Avx2Fma, to
-// verdict equivalence). Register-block shape: 2×4 gives 8 independent
+// other implementation must reproduce it exactly. Register-block shape: 2×4 gives 8 independent
 // accumulators fed by 6 loads per k step — enough instruction-level
 // parallelism to hide the floating-point add latency that serializes a
 // single dot product, while staying inside the 16 SSE2 registers of the
@@ -241,10 +240,9 @@ void gemm_bt_sse2(std::size_t m, std::size_t n, std::size_t k, const double* a,
 // AVX2 kernel: NR = 8 columns as two 4-lane ymm vectors, 4-row tiles
 // (8 ymm accumulators, the shape the issue calls for). Compiled with a
 // target attribute so the rest of the library stays baseline; the
-// dispatcher only installs it after cpuid says the CPU can run it. The
-// plain Avx2 variant is compiled WITHOUT the fma feature, so the compiler
-// cannot contract mul+add into a fused op — that is what keeps it
-// bit-identical. Avx2Fma uses explicit _mm256_fmadd_pd and is opt-in only.
+// dispatcher only installs it after cpuid says the CPU can run it. It is
+// compiled WITHOUT the fma feature, so the compiler cannot contract
+// mul+add into a fused op — that is what keeps it bit-identical.
 // ---------------------------------------------------------------------------
 
 __attribute__((target("avx2"))) inline __m256d avx2_load_c4(const double* c,
@@ -307,45 +305,6 @@ __attribute__((target("avx2"))) void avx2_tile(bool first, std::size_t kb,
   }
 }
 
-template <std::size_t MR>
-__attribute__((target("avx2,fma"))) void avx2fma_tile(
-    bool first, std::size_t kb, const double* a, std::size_t lda, const double* panel,
-    const double* bias, double* c, std::size_t c_row_stride,
-    std::size_t c_col_stride) {
-  __m256d acc[MR][2];
-  if (first) {
-    __m256d seed0 = _mm256_setzero_pd(), seed1 = _mm256_setzero_pd();
-    if (bias) {
-      seed0 = _mm256_loadu_pd(bias);
-      seed1 = _mm256_loadu_pd(bias + 4);
-    }
-    for (std::size_t r = 0; r < MR; ++r) {
-      acc[r][0] = seed0;
-      acc[r][1] = seed1;
-    }
-  } else {
-    for (std::size_t r = 0; r < MR; ++r) {
-      double* c_row = c + r * c_row_stride;
-      acc[r][0] = avx2_load_c4(c_row, c_col_stride);
-      acc[r][1] = avx2_load_c4(c_row + 4 * c_col_stride, c_col_stride);
-    }
-  }
-  for (std::size_t kk = 0; kk < kb; ++kk) {
-    const __m256d p0 = _mm256_load_pd(panel + kk * 8);
-    const __m256d p1 = _mm256_load_pd(panel + kk * 8 + 4);
-    for (std::size_t r = 0; r < MR; ++r) {
-      const __m256d av = _mm256_broadcast_sd(a + r * lda + kk);
-      acc[r][0] = _mm256_fmadd_pd(av, p0, acc[r][0]);
-      acc[r][1] = _mm256_fmadd_pd(av, p1, acc[r][1]);
-    }
-  }
-  for (std::size_t r = 0; r < MR; ++r) {
-    double* c_row = c + r * c_row_stride;
-    avx2_store_c4(c_row, c_col_stride, acc[r][0]);
-    avx2_store_c4(c_row + 4 * c_col_stride, c_col_stride, acc[r][1]);
-  }
-}
-
 void gemm_bt_avx2(std::size_t m, std::size_t n, std::size_t k, const double* a,
                   std::size_t lda, const double* b, std::size_t ldb,
                   const double* bias, double* c, std::size_t c_row_stride,
@@ -355,17 +314,6 @@ void gemm_bt_avx2(std::size_t m, std::size_t n, std::size_t k, const double* a,
   gemm_bt_paneled<kPanelCols, kPanelK>(m, n, k, a, lda, b, ldb, bias, c,
                                        c_row_stride, c_col_stride, &avx2_tile<4>,
                                        &avx2_tile<1>, panel);
-}
-
-void gemm_bt_avx2fma(std::size_t m, std::size_t n, std::size_t k, const double* a,
-                     std::size_t lda, const double* b, std::size_t ldb,
-                     const double* bias, double* c, std::size_t c_row_stride,
-                     std::size_t c_col_stride) {
-  constexpr std::size_t kPanelCols = 8, kPanelK = 256;
-  alignas(32) double panel[kPanelCols * kPanelK];
-  gemm_bt_paneled<kPanelCols, kPanelK>(m, n, k, a, lda, b, ldb, bias, c,
-                                       c_row_stride, c_col_stride, &avx2fma_tile<4>,
-                                       &avx2fma_tile<1>, panel);
 }
 
 #endif  // NOODLE_GEMM_X86
@@ -386,7 +334,6 @@ GemmBtFn kernel_fn(GemmKernel kernel) noexcept {
 #if NOODLE_GEMM_X86
     case GemmKernel::Sse2: return &gemm_bt_sse2;
     case GemmKernel::Avx2: return &gemm_bt_avx2;
-    case GemmKernel::Avx2Fma: return &gemm_bt_avx2fma;
 #else
     default: break;
 #endif
@@ -404,8 +351,7 @@ GemmKernel kernel_of(GemmBtFn fn) noexcept {
 
 std::atomic<GemmBtFn> g_gemm_bt{nullptr};
 
-/// NOODLE_GEMM_KERNEL if set and usable, else the fastest available
-/// bit-identical kernel (Avx2Fma is never auto-selected).
+/// NOODLE_GEMM_KERNEL if set and usable, else the fastest available kernel.
 GemmKernel pick_kernel() {
   const char* env = std::getenv("NOODLE_GEMM_KERNEL");
   if (env != nullptr && *env != '\0') {
@@ -418,8 +364,6 @@ GemmKernel pick_kernel() {
       named = GemmKernel::Sse2;
     } else if (want == "avx2") {
       named = GemmKernel::Avx2;
-    } else if (want == "avx2fma" || want == "fma") {
-      named = GemmKernel::Avx2Fma;
     } else {
       recognized = want == "auto";
       if (!recognized) {
@@ -458,7 +402,6 @@ const char* to_string(GemmKernel kernel) noexcept {
     case GemmKernel::Scalar: return "scalar";
     case GemmKernel::Sse2: return "sse2";
     case GemmKernel::Avx2: return "avx2";
-    case GemmKernel::Avx2Fma: return "avx2fma";
   }
   return "unknown";
 }
@@ -469,8 +412,6 @@ bool gemm_kernel_available(GemmKernel kernel) noexcept {
 #if NOODLE_GEMM_X86
     case GemmKernel::Sse2: return __builtin_cpu_supports("sse2") != 0;
     case GemmKernel::Avx2: return __builtin_cpu_supports("avx2") != 0;
-    case GemmKernel::Avx2Fma:
-      return __builtin_cpu_supports("avx2") != 0 && __builtin_cpu_supports("fma") != 0;
 #else
     default: return false;
 #endif

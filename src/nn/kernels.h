@@ -13,20 +13,13 @@
 // one accumulation chain: an AVX2 lane computes the same IEEE-754 op
 // sequence for its element as the scalar loop does.
 //
-// The one exception is GemmKernel::Avx2Fma, which fuses each multiply-add
-// (the product is not rounded before the addition). That changes low-order
-// bits, so it is NEVER auto-selected — it must be opted into explicitly via
-// set_gemm_kernel() or NOODLE_GEMM_KERNEL=avx2fma, and the contract weakens
-// from bit-identity to verdict equivalence (same policy as f32 snapshot
-// weights; asserted in tests/test_nn_engine.cpp).
-//
 // Dispatch: the first gemm_bt() call probes the CPU once (cpuid via
-// __builtin_cpu_supports) and installs the fastest bit-identical kernel the
-// hardware supports as a function pointer; NOODLE_GEMM_KERNEL overrides the
-// choice for testing (scalar | sse2 | avx2 | avx2fma | auto — an
-// unavailable or unrecognized value falls back to auto). The selection is
-// process-global: a kernel never changes results (FMA aside), so there is
-// nothing per-model to configure.
+// __builtin_cpu_supports) and installs the fastest kernel the hardware
+// supports as a function pointer; NOODLE_GEMM_KERNEL overrides the choice
+// for testing (scalar | sse2 | avx2 | auto — an unavailable or
+// unrecognized value falls back to auto). The selection is process-global:
+// a kernel never changes results, so there is nothing per-model to
+// configure.
 
 #include <cstddef>
 #include <cstdint>
@@ -48,12 +41,10 @@ void gemm_bt(std::size_t m, std::size_t n, std::size_t k, const double* a,
              std::size_t lda, const double* b, std::size_t ldb, const double* bias,
              double* c, std::size_t c_row_stride, std::size_t c_col_stride);
 
-/// The registered gemm_bt implementations, in dispatch-preference order.
-/// Scalar is the bit-identity reference; Sse2/Avx2 are bit-identical to it;
-/// Avx2Fma is verdict-equivalent only (fused multiply-adds) and must be
-/// opted into explicitly.
-enum class GemmKernel : std::uint8_t { Scalar = 0, Sse2 = 1, Avx2 = 2, Avx2Fma = 3 };
-inline constexpr std::size_t kGemmKernelCount = 4;
+/// The registered gemm_bt implementations. Scalar is the bit-identity
+/// reference; Sse2/Avx2 are bit-identical to it.
+enum class GemmKernel : std::uint8_t { Scalar = 0, Sse2 = 1, Avx2 = 2 };
+inline constexpr std::size_t kGemmKernelCount = 3;
 
 const char* to_string(GemmKernel kernel) noexcept;
 
@@ -61,24 +52,17 @@ const char* to_string(GemmKernel kernel) noexcept;
 /// the SIMD kernels require an x86-64 build plus the cpuid feature bit).
 bool gemm_kernel_available(GemmKernel kernel) noexcept;
 
-/// False only for Avx2Fma: every other kernel reproduces the scalar
-/// reference bit for bit.
-constexpr bool gemm_kernel_bit_identical(GemmKernel kernel) noexcept {
-  return kernel != GemmKernel::Avx2Fma;
-}
-
 /// The kernel gemm_bt() currently dispatches to (runs the one-time probe if
 /// it has not happened yet).
 GemmKernel active_gemm_kernel() noexcept;
 
 /// Installs `kernel` as the dispatch target and returns the previous one.
 /// Throws std::invalid_argument if the kernel is unavailable on this CPU.
-/// This is the programmatic opt-in for Avx2Fma (noodled exposes it as
-/// --fma) and the test hook for pinning a specific implementation.
+/// The test hook for pinning a specific implementation.
 GemmKernel set_gemm_kernel(GemmKernel kernel);
 
 /// Re-runs the automatic selection (NOODLE_GEMM_KERNEL if set and valid,
-/// else the fastest available bit-identical kernel). Lets tests exercise
+/// else the fastest available kernel). Lets tests exercise
 /// the env-override path after setenv().
 void reset_gemm_kernel();
 

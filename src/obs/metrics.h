@@ -36,13 +36,20 @@
 
 namespace noodle::obs {
 
-/// Monotone event counter. set() exists for mirroring an external monotone
-/// source (e.g. StatsBook cells) — it must never be handed a smaller value.
+/// Monotone event counter. set() exists for sampling an external monotone
+/// source at render time (e.g. DiskCacheStats) — it must never be handed a
+/// smaller value.
+///
+/// inc() is a release and value() an acquire, so counters can be read as a
+/// consistent view without a lock: if event B is counted after event A,
+/// a reader that loads B's counter and then A's sees at least as many As
+/// as Bs (DetectionService's stats views rely on this). On x86-64 both
+/// compile to the same instructions as relaxed order.
 class Counter {
  public:
-  void inc(std::uint64_t n = 1) noexcept { value_.fetch_add(n, std::memory_order_relaxed); }
-  void set(std::uint64_t v) noexcept { value_.store(v, std::memory_order_relaxed); }
-  std::uint64_t value() const noexcept { return value_.load(std::memory_order_relaxed); }
+  void inc(std::uint64_t n = 1) noexcept { value_.fetch_add(n, std::memory_order_release); }
+  void set(std::uint64_t v) noexcept { value_.store(v, std::memory_order_release); }
+  std::uint64_t value() const noexcept { return value_.load(std::memory_order_acquire); }
 
  private:
   std::atomic<std::uint64_t> value_{0};

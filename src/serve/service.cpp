@@ -12,96 +12,6 @@
 namespace noodle::serve {
 
 // ---------------------------------------------------------------------------
-// StatsBook
-// ---------------------------------------------------------------------------
-
-template <typename Fn>
-void StatsBook::update(const std::string& model, Fn&& fn) {
-  // One mutex covers the aggregate and every per-model cell, so any
-  // snapshot() taken between updates sees a mutually consistent state.
-  std::lock_guard<std::mutex> lock(mu_);
-  fn(total_);
-  auto it = per_model_.find(model);
-  if (it == per_model_.end()) {
-    // Bound the map against attacker-chosen names: overflow names share
-    // one cell, and a given name maps to the same cell for its lifetime
-    // (the map only grows), so per-cell invariants survive.
-    it = per_model_.size() < kMaxTrackedModels
-             ? per_model_.try_emplace(model).first
-             : per_model_.try_emplace(kOverflowCell).first;
-  }
-  fn(it->second);
-}
-
-void StatsBook::record_request(const std::string& model) {
-  update(model, [](ServiceStats& s) { ++s.requests; });
-}
-
-void StatsBook::record_cache_hit(const std::string& model) {
-  update(model, [](ServiceStats& s) { ++s.cache_hits; });
-}
-
-void StatsBook::record_disk_hit(const std::string& model) {
-  update(model, [](ServiceStats& s) { ++s.disk_hits; });
-}
-
-void StatsBook::record_model_miss(const std::string& model) {
-  update(model, [](ServiceStats& s) { ++s.model_misses; });
-}
-
-void StatsBook::record_deadline_timeout(const std::string& model) {
-  update(model, [](ServiceStats& s) { ++s.deadline_timeouts; });
-}
-
-void StatsBook::record_batch(const std::string& model, std::uint64_t scans,
-                             std::uint64_t parse_failures, std::uint64_t batch_size,
-                             std::uint64_t scan_micros) {
-  update(model, [&](ServiceStats& s) {
-    ++s.batches;
-    s.scans += scans;
-    s.parse_failures += parse_failures;
-    s.scan_micros += scan_micros;
-    s.max_batch_size = std::max(s.max_batch_size, batch_size);
-  });
-}
-
-void StatsBook::record_lint(const std::string& model, std::uint64_t runs,
-                            const std::array<std::uint64_t, lint::kRuleCount>& by_rule) {
-  update(model, [&](ServiceStats& s) {
-    s.lint_runs += runs;
-    for (std::size_t r = 0; r < lint::kRuleCount; ++r) {
-      s.lint_by_rule[r] += by_rule[r];
-      s.lint_findings += by_rule[r];
-    }
-  });
-}
-
-ServiceStats StatsBook::snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return total_;
-}
-
-ServiceStats StatsBook::snapshot(const std::string& model) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = per_model_.find(model);
-  return it == per_model_.end() ? ServiceStats{} : it->second;
-}
-
-std::map<std::string, ServiceStats> StatsBook::by_model() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return per_model_;
-}
-
-std::pair<ServiceStats, std::map<std::string, ServiceStats>> StatsBook::snapshot_all()
-    const {
-  // One lock acquisition: the aggregate equals the sum of the cells in the
-  // returned pair (every update() touches total_ and exactly one cell under
-  // this mutex), which the Prometheus mirror relies on.
-  std::lock_guard<std::mutex> lock(mu_);
-  return {total_, per_model_};
-}
-
-// ---------------------------------------------------------------------------
 // DetectionService
 // ---------------------------------------------------------------------------
 
@@ -138,6 +48,38 @@ std::shared_ptr<ModelRegistry> single_model_registry(const std::filesystem::path
   auto registry = std::make_shared<ModelRegistry>();
   registry->reload_from(kDefaultModelName, snapshot);
   return registry;
+}
+
+/// Sums the counters of `cells` (pointers to DetectionService::StatsCell)
+/// into one view, without a lock. Every outcome counter is loaded before
+/// any requests counter: outcomes are counted after their request's
+/// requests++, and Counter::inc/value are release/acquire, so a view that
+/// sees an outcome also sees the request behind it — it can never report
+/// more outcomes than requests.
+template <typename CellPtrs>
+ServiceStats view_of(const CellPtrs& cells) {
+  ServiceStats s;
+  for (const auto* cell : cells) {
+    s.cache_hits += cell->cache_hits->value();
+    s.disk_hits += cell->disk_hits->value();
+    s.scans += cell->scans->value();
+    s.parse_failures += cell->parse_failures->value();
+    s.model_misses += cell->model_misses->value();
+    s.deadline_timeouts += cell->deadline_timeouts->value();
+    s.batches += cell->batches->value();
+    s.scan_micros += cell->scan_micros->value();
+    s.lint_runs += cell->lint_runs->value();
+    for (std::size_t rule = 0; rule < lint::kRuleCount; ++rule) {
+      const obs::Counter* findings =
+          cell->lint_by_rule[rule].load(std::memory_order_acquire);
+      if (findings != nullptr) s.lint_by_rule[rule] += findings->value();
+    }
+    s.max_batch_size =
+        std::max(s.max_batch_size, cell->max_batch_size.load(std::memory_order_relaxed));
+  }
+  for (const std::uint64_t findings : s.lint_by_rule) s.lint_findings += findings;
+  for (const auto* cell : cells) s.requests += cell->requests->value();
+  return s;
 }
 
 }  // namespace
@@ -206,6 +148,44 @@ DetectionService::~DetectionService() {
   // them up front.
 }
 
+DetectionService::StatsCell& DetectionService::stats_cell(const std::string& model) {
+  std::lock_guard<std::mutex> lock(cells_mutex_);
+  if (const auto it = cells_.find(model); it != cells_.end()) return it->second;
+  // Bound the map against attacker-chosen names: overflow names share one
+  // cell, and a given name maps to the same cell for its lifetime (the map
+  // only grows), so per-cell invariants survive.
+  const std::string name =
+      cells_.size() < kMaxTrackedModels ? model : std::string(kOverflowCell);
+  const auto [it, created] = cells_.try_emplace(name);
+  StatsCell& cell = it->second;
+  if (created) {
+    const auto counter = [&](const char* metric, const char* help) {
+      return &metrics_.counter(metric, help, {{"model", name}});
+    };
+    cell.model = name;
+    cell.requests = counter("noodle_requests_total", "submit() calls.");
+    cell.cache_hits = counter("noodle_cache_hits_total",
+                              "Requests answered from the LRU verdict cache.");
+    cell.disk_hits = counter("noodle_disk_hits_total",
+                             "Requests answered from the persistent disk cache tier.");
+    cell.scans = counter("noodle_scans_total", "Verdicts computed by a detector.");
+    cell.parse_failures =
+        counter("noodle_parse_failures_total", "Requests rejected with a parse error.");
+    cell.model_misses = counter("noodle_model_misses_total",
+                                "Requests naming an unknown model/version.");
+    cell.deadline_timeouts =
+        counter("noodle_deadline_timeouts_total",
+                "Requests failed with DeadlineError before being scanned.");
+    cell.batches =
+        counter("noodle_batches_total", "Single-generation batch groups dispatched.");
+    cell.scan_micros = counter("noodle_scan_busy_microseconds_total",
+                               "Wall time spent inside detector batch scans.");
+    cell.lint_runs =
+        counter("noodle_lint_runs_total", "Sources the static-analysis pass covered.");
+  }
+  return cell;
+}
+
 std::future<core::DetectionReport> DetectionService::submit(std::string verilog_source) {
   return submit_request(ModelSpec{default_model_, 0}, std::move(verilog_source), {}, {});
 }
@@ -245,7 +225,8 @@ std::future<core::DetectionReport> DetectionService::submit_request(
   // deterministically with submission: a toggle affects exactly the
   // requests submitted after it, however the dispatcher batches them.
   const bool want_lint = lint_.load(std::memory_order_relaxed);
-  stats_.record_request(spec.name);
+  StatsCell& cell = stats_cell(spec.name);
+  cell.requests->inc();
 
   // Cache probe against the generation the spec resolves to right now; the
   // generation id in the key means a reload in between can only cause a
@@ -279,11 +260,7 @@ std::future<core::DetectionReport> DetectionService::submit_request(
   if (probe == CacheProbe::kHit || probe == CacheProbe::kDiskHit) {
     // The hit is recorded only now — after the probe validated the source
     // bytes AND the entry's lint state — never before.
-    if (probe == CacheProbe::kHit) {
-      stats_.record_cache_hit(spec.name);
-    } else {
-      stats_.record_disk_hit(spec.name);
-    }
+    (probe == CacheProbe::kHit ? cell.cache_hits : cell.disk_hits)->inc();
     cached.timing = core::RequestTiming{};
     cached.timing.trace_id = trace_id;
     cached.timing.from_cache = true;
@@ -307,6 +284,7 @@ std::future<core::DetectionReport> DetectionService::submit_request(
 
   Request request;
   request.spec = std::move(spec);
+  request.cell = &cell;
   request.source = std::move(source);
   request.key = hash;
   request.lint = want_lint;
@@ -364,14 +342,34 @@ void DetectionService::drain() {
   drained_cv_.wait(lock, [this] { return outstanding_ == 0; });
 }
 
-ServiceStats DetectionService::stats() const { return stats_.snapshot(); }
+std::vector<const DetectionService::StatsCell*> DetectionService::all_cells() const {
+  // Cells never move or die, so the lock only covers collecting them.
+  std::lock_guard<std::mutex> lock(cells_mutex_);
+  std::vector<const StatsCell*> cells;
+  cells.reserve(cells_.size());
+  for (const auto& [name, cell] : cells_) cells.push_back(&cell);
+  return cells;
+}
+
+ServiceStats DetectionService::stats() const { return view_of(all_cells()); }
 
 ServiceStats DetectionService::stats(const std::string& model_name) const {
-  return stats_.snapshot(model_name);
+  const StatsCell* cell = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(cells_mutex_);
+    const auto it = cells_.find(model_name);
+    if (it == cells_.end()) return {};
+    cell = &it->second;
+  }
+  return view_of(std::array{cell});
 }
 
 std::map<std::string, ServiceStats> DetectionService::stats_by_model() const {
-  return stats_.by_model();
+  std::map<std::string, ServiceStats> by_model;
+  for (const StatsCell* cell : all_cells()) {
+    by_model[cell->model] = view_of(std::array{cell});
+  }
+  return by_model;
 }
 
 DiskCacheStats DetectionService::disk_cache_stats() const {
@@ -394,49 +392,13 @@ std::vector<obs::MetricsRegistry::Sample> DetectionService::metrics_snapshot() {
 }
 
 void DetectionService::sync_mirrored_metrics() {
-  // One consistent StatsBook snapshot feeds every mirrored sample, so the
-  // exposition can never disagree with a `!stats` line printed from the
-  // same instant's counters (satellite: StatsBook mirrored, ServiceStats
-  // API unchanged). Registration is get-or-create and the source counters
-  // are monotone, so set() is safe here.
-  const auto [total, by_model] = stats_.snapshot_all();
-  const auto mirror = [this](const char* name, const char* help,
-                             const std::string& model, std::uint64_t value) {
-    metrics_.counter(name, help, {{"model", model}}).set(value);
-  };
-  for (const auto& [model, cell] : by_model) {
-    mirror("noodle_requests_total", "submit() calls.", model, cell.requests);
-    mirror("noodle_cache_hits_total", "Requests answered from the LRU verdict cache.",
-           model, cell.cache_hits);
-    mirror("noodle_disk_hits_total",
-           "Requests answered from the persistent disk cache tier.", model,
-           cell.disk_hits);
-    mirror("noodle_scans_total", "Verdicts computed by a detector.", model,
-           cell.scans);
-    mirror("noodle_parse_failures_total", "Requests rejected with a parse error.",
-           model, cell.parse_failures);
-    mirror("noodle_model_misses_total", "Requests naming an unknown model/version.",
-           model, cell.model_misses);
-    mirror("noodle_deadline_timeouts_total",
-           "Requests failed with DeadlineError before being scanned.", model,
-           cell.deadline_timeouts);
-    mirror("noodle_batches_total", "Single-generation batch groups dispatched.",
-           model, cell.batches);
-    mirror("noodle_scan_busy_microseconds_total",
-           "Wall time spent inside detector batch scans.", model, cell.scan_micros);
-    mirror("noodle_lint_runs_total", "Sources the static-analysis pass covered.",
-           model, cell.lint_runs);
-    for (std::size_t rule = 0; rule < lint::kRuleCount; ++rule) {
-      if (cell.lint_by_rule[rule] == 0) continue;  // bound label cardinality
-      metrics_
-          .counter("noodle_lint_findings_total", "Lint findings by rule.",
-                   {{"model", model},
-                    {"rule", lint::rule_info(static_cast<lint::RuleId>(rule)).code}})
-          .set(cell.lint_by_rule[rule]);
-    }
-  }
+  // The request counters need no sampling: their registry cells are the
+  // only store, so `!stats` and `!metrics` read the same numbers. What is
+  // sampled here is owned elsewhere — the LRU, the queue, the model
+  // registry, the disk tier — plus the max over the per-model batch-size
+  // atomics (there is no per-model series to sum).
   metrics_.gauge("noodle_max_batch_size", "Largest coalesced batch group so far.")
-      .set(static_cast<std::int64_t>(total.max_batch_size));
+      .set(static_cast<std::int64_t>(stats().max_batch_size));
   metrics_.gauge("noodle_cache_entries", "Live verdict-cache entries.")
       .set(static_cast<std::int64_t>(cache_size()));
   {
@@ -565,7 +527,7 @@ void DetectionService::process_batch(std::vector<Request> batch) {
 
 void DetectionService::process_group(const std::string& group_label,
                                      std::vector<Request> group) {
-  const std::string model_name = group.front().spec.name;
+  StatsCell& cell = *group.front().cell;  // one spec label, so one name
   const std::size_t submitted = group.size();
   // Queue wait: submit() to this pickup, per request, on the one monotonic
   // clock every span uses.
@@ -588,7 +550,7 @@ void DetectionService::process_group(const std::string& group_label,
     live.reserve(group.size());
     for (Request& request : group) {
       if (request.deadline_nanos != 0 && pickup_nanos >= request.deadline_nanos) {
-        stats_.record_deadline_timeout(model_name);
+        cell.deadline_timeouts->inc();
         request.fail(std::make_exception_ptr(DeadlineError(
             "DetectionService: deadline expired before dispatch")));
       } else {
@@ -607,7 +569,7 @@ void DetectionService::process_group(const std::string& group_label,
     const auto error = std::make_exception_ptr(
         RegistryError("DetectionService: no model '" + group_label + "'"));
     for (Request& request : group) {
-      stats_.record_model_miss(model_name);
+      cell.model_misses->inc();
       request.fail(error);
     }
     finish_requests(submitted);
@@ -668,11 +630,9 @@ void DetectionService::process_group(const std::string& group_label,
   }
   const std::uint64_t elapsed_micros = scan_nanos / 1000;
   for (core::DetectionReport& report : reports) report.served_by = handle->label();
-  std::uint64_t lint_runs = 0;
   for (std::size_t s = 0; s < reports.size(); ++s) {
     reports[s].lint_ran = group[sample_owner[s]].lint;
     reports[s].lint_findings = std::move(findings[s]);
-    lint_runs += reports[s].lint_ran ? 1 : 0;
   }
 
   // Stamp per-request timing before counters/cache publication so cached
@@ -692,17 +652,7 @@ void DetectionService::process_group(const std::string& group_label,
 
   // Publish counters and cache entries BEFORE fulfilling any promise, so a
   // caller who has observed a verdict also observes its counters.
-  stats_.record_batch(model_name, reports.size(), rejected.size(), group.size(),
-                      elapsed_micros);
-  if (lint_runs > 0) {
-    std::array<std::uint64_t, lint::kRuleCount> by_rule{};
-    for (const core::DetectionReport& report : reports) {
-      for (const lint::OwnedFinding& finding : report.lint_findings) {
-        ++by_rule[static_cast<std::size_t>(finding.rule)];
-      }
-    }
-    stats_.record_lint(model_name, lint_runs, by_rule);
-  }
+  record_batch(cell, reports, rejected.size(), group.size(), elapsed_micros);
   for (std::size_t s = 0; s < reports.size(); ++s) {
     cache_store(CacheKey{handle->id(), group[sample_owner[s]].key},
                 group[sample_owner[s]].source, reports[s]);
@@ -731,6 +681,47 @@ void DetectionService::process_group(const std::string& group_label,
     }
   }
   finish_requests(submitted);
+}
+
+void DetectionService::record_batch(StatsCell& cell,
+                                    const std::vector<core::DetectionReport>& reports,
+                                    std::uint64_t parse_failures,
+                                    std::uint64_t batch_size, std::uint64_t scan_micros) {
+  cell.batches->inc();
+  cell.scans->inc(reports.size());
+  if (parse_failures > 0) cell.parse_failures->inc(parse_failures);
+  cell.scan_micros->inc(scan_micros);
+  std::uint64_t largest = cell.max_batch_size.load(std::memory_order_relaxed);
+  while (largest < batch_size &&
+         !cell.max_batch_size.compare_exchange_weak(largest, batch_size,
+                                                    std::memory_order_relaxed)) {
+  }
+
+  std::uint64_t lint_runs = 0;
+  std::array<std::uint64_t, lint::kRuleCount> by_rule{};
+  for (const core::DetectionReport& report : reports) {
+    lint_runs += report.lint_ran ? 1 : 0;
+    for (const lint::OwnedFinding& finding : report.lint_findings) {
+      ++by_rule[static_cast<std::size_t>(finding.rule)];
+    }
+  }
+  if (lint_runs == 0) return;
+  cell.lint_runs->inc(lint_runs);
+  for (std::size_t rule = 0; rule < lint::kRuleCount; ++rule) {
+    if (by_rule[rule] == 0) continue;
+    obs::Counter* findings = cell.lint_by_rule[rule].load(std::memory_order_acquire);
+    if (findings == nullptr) {
+      // First finding for this rule: register the series now, so a rule
+      // that never fires adds no label variant. Get-or-create makes a
+      // racing registration from another worker return the same counter.
+      findings = &metrics_.counter(
+          "noodle_lint_findings_total", "Lint findings by rule.",
+          {{"model", cell.model},
+           {"rule", lint::rule_info(static_cast<lint::RuleId>(rule)).code}});
+      cell.lint_by_rule[rule].store(findings, std::memory_order_release);
+    }
+    findings->inc(by_rule[rule]);
+  }
 }
 
 void DetectionService::finish_requests(std::size_t count) {

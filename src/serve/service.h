@@ -12,9 +12,9 @@
 //   * verdicts are memoized in an LRU cache keyed by (generation id,
 //     fnv1a64(source)) — cached verdicts from different generations of the
 //     same name can never collide, and stale generations simply age out;
-//   * counters are kept per model name plus an aggregate, and every read
-//     goes through StatsBook::snapshot() so a reported ServiceStats is
-//     internally consistent (never torn totals like hits > requests).
+//   * counters are kept per model name, as handles into the service's
+//     obs::MetricsRegistry — the only store. ServiceStats, `!stats` and
+//     `!metrics` all read those cells; the aggregate is their sum.
 //
 // FittedModel generations are immutable, which is what makes batching
 // across threads safe and verdicts independent of arrival order: a service
@@ -98,10 +98,18 @@ struct ServiceConfig {
   DiskCacheConfig disk_cache;
 };
 
-/// One consistent counters snapshot (see StatsBook). Monotonic except that
-/// a snapshot as a whole is taken atomically: invariants like
+/// Per-model counters are bounded: model names come from client-supplied
+/// request specs, so once kMaxTrackedModels distinct names exist, further
+/// new names share the kOverflowCell cell (a name is routed consistently,
+/// so per-cell invariants still hold). This keeps a long-lived service
+/// from growing without bound under a stream of bogus model names.
+inline constexpr std::size_t kMaxTrackedModels = 256;
+inline constexpr const char* kOverflowCell = "(other)";
+
+/// A view of the service counters (see DetectionService::stats()). Read
+/// from the metrics registry's cells without a lock, but never torn:
 /// cache_hits + scans + parse_failures + model_misses + deadline_timeouts
-/// <= requests hold in every copy handed out.
+/// <= requests holds in every copy handed out.
 struct ServiceStats {
   std::uint64_t requests = 0;       ///< total submit() calls
   std::uint64_t cache_hits = 0;     ///< answered from the LRU without a scan
@@ -130,53 +138,6 @@ struct ServiceStats {
     return scans == 0 ? 0.0
                       : static_cast<double>(scan_micros) / static_cast<double>(scans);
   }
-};
-
-/// Aggregate + per-model-name service counters. Every mutation and every
-/// read happens under one mutex, so snapshot() returns a copy whose
-/// counters are mutually consistent — a caller can never observe a torn
-/// total (e.g. a cache hit counted before the request that caused it).
-///
-/// Model names come from client-supplied request specs, so the per-name
-/// map is bounded: once kMaxTrackedModels distinct names exist, further
-/// new names share one "(other)" cell (a name is routed consistently, so
-/// per-cell invariants still hold). This keeps a long-lived service from
-/// growing without bound under a stream of bogus model names.
-class StatsBook {
- public:
-  static constexpr std::size_t kMaxTrackedModels = 256;
-  static constexpr const char* kOverflowCell = "(other)";
-
-  /// Consistent aggregate snapshot.
-  ServiceStats snapshot() const;
-  /// Consistent snapshot for one model name (zeros if never seen).
-  ServiceStats snapshot(const std::string& model) const;
-  /// Consistent snapshot of every model's counters.
-  std::map<std::string, ServiceStats> by_model() const;
-  /// Aggregate and per-model snapshots taken under ONE lock acquisition —
-  /// the pair is mutually consistent (total == sum of cells), which is what
-  /// the Prometheus mirror needs so `!stats` and `!metrics` can never
-  /// disagree.
-  std::pair<ServiceStats, std::map<std::string, ServiceStats>> snapshot_all() const;
-
-  void record_request(const std::string& model);
-  void record_cache_hit(const std::string& model);
-  void record_disk_hit(const std::string& model);
-  void record_model_miss(const std::string& model);
-  void record_deadline_timeout(const std::string& model);
-  void record_batch(const std::string& model, std::uint64_t scans,
-                    std::uint64_t parse_failures, std::uint64_t batch_size,
-                    std::uint64_t scan_micros);
-  void record_lint(const std::string& model, std::uint64_t runs,
-                   const std::array<std::uint64_t, lint::kRuleCount>& by_rule);
-
- private:
-  template <typename Fn>
-  void update(const std::string& model, Fn&& fn);
-
-  mutable std::mutex mu_;
-  ServiceStats total_;
-  std::map<std::string, ServiceStats> per_model_;
 };
 
 class DetectionService {
@@ -250,27 +211,29 @@ class DetectionService {
   /// Blocks until every request submitted so far has been answered.
   void drain();
 
-  /// Consistent aggregate counters (see StatsBook).
+  /// Aggregate counters: the sum over every model's cells (the max, for
+  /// max_batch_size). A view, never torn (see ServiceStats).
   ServiceStats stats() const;
-  /// Consistent counters for one model name.
+  /// Counters for one model name (zeros if never seen).
   ServiceStats stats(const std::string& model_name) const;
-  /// Consistent counters for every model name seen so far.
+  /// Counters for every model name seen so far.
   std::map<std::string, ServiceStats> stats_by_model() const;
 
-  /// The service's observability surface: per-stage latency histograms
-  /// (noodle_stage_duration_seconds{stage=...}), cache miss-reason
-  /// counters, thread-pool gauges — plus, after sync via
-  /// render_prometheus()/metrics_snapshot(), a mirror of every StatsBook
-  /// counter. Embedders may register their own metrics here too.
+  /// The service's observability surface and the only store of its
+  /// counters: per-model request/outcome counters (noodle_requests_total
+  /// {model=...} and friends — the cells stats() reads), per-stage latency
+  /// histograms (noodle_stage_duration_seconds{stage=...}), cache
+  /// miss-reason counters, thread-pool gauges. Embedders register their
+  /// own metrics here too (net::ScanServer's noodle_net_* family).
   obs::MetricsRegistry& metrics() noexcept { return metrics_; }
   const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
 
-  /// Mirrors StatsBook/registry/cache state into the metrics registry
-  /// (one consistent StatsBook snapshot — `!stats` and `!metrics` can
-  /// never disagree), then renders the Prometheus text exposition.
-  /// Thread-safe; callable while the service runs.
+  /// Samples the values owned outside the registry (LRU size, queue
+  /// depth, registry and disk-tier state) into it, then renders the
+  /// Prometheus text exposition. Thread-safe; callable while the service
+  /// runs.
   void render_prometheus(std::ostream& os);
-  /// Same sync, returning the raw samples instead of rendering.
+  /// Same sampling, returning the raw samples instead of rendering.
   std::vector<obs::MetricsRegistry::Sample> metrics_snapshot();
 
   /// The live registry: publish/reload/retire take effect on the next
@@ -303,8 +266,32 @@ class DetectionService {
   DiskCacheStats disk_cache_stats() const;
 
  private:
+  /// One model name's counters: handles into metrics_, which is their only
+  /// store. Created on a name's first submit (bounded by
+  /// kMaxTrackedModels); never moves or dies before the service.
+  struct StatsCell {
+    std::string model;  ///< the cell's `model` label value
+    obs::Counter* requests = nullptr;
+    obs::Counter* cache_hits = nullptr;
+    obs::Counter* disk_hits = nullptr;
+    obs::Counter* scans = nullptr;
+    obs::Counter* parse_failures = nullptr;
+    obs::Counter* model_misses = nullptr;
+    obs::Counter* deadline_timeouts = nullptr;
+    obs::Counter* batches = nullptr;
+    obs::Counter* scan_micros = nullptr;
+    obs::Counter* lint_runs = nullptr;
+    /// noodle_lint_findings_total{rule=...}, registered on the rule's first
+    /// finding (bounds label cardinality); null until then.
+    std::array<std::atomic<obs::Counter*>, lint::kRuleCount> lint_by_rule{};
+    /// Largest batch group; no per-model series exists for it, so this
+    /// atomic is its store (noodle_max_batch_size samples the max).
+    std::atomic<std::uint64_t> max_batch_size{0};
+  };
+
   struct Request {
     ModelSpec spec;
+    StatsCell* cell = nullptr;  ///< spec.name's counters, looked up at submit
     std::string source;
     std::uint64_t key = 0;
     bool lint = false;  // lint_ sampled at submit time
@@ -393,8 +380,17 @@ class DetectionService {
   void finish_requests(std::size_t count);
   /// Registers the service's own metrics (constructor only).
   void register_metrics();
-  /// Pushes one consistent StatsBook snapshot plus registry/cache/pool
-  /// state into the metrics registry (render path, not hot path).
+  /// The counters cell for a model name (created on first use; overflow
+  /// names share kOverflowCell's).
+  StatsCell& stats_cell(const std::string& model);
+  /// Every cell, collected under cells_mutex_.
+  std::vector<const StatsCell*> all_cells() const;
+  /// Counts one finished batch group into `cell`.
+  void record_batch(StatsCell& cell, const std::vector<core::DetectionReport>& reports,
+                    std::uint64_t parse_failures, std::uint64_t batch_size,
+                    std::uint64_t scan_micros);
+  /// Samples the values whose owner lives outside the registry (LRU size,
+  /// queue, registry, disk tier) into it (render path, not hot path).
   void sync_mirrored_metrics();
 
   std::shared_ptr<ModelRegistry> registry_;
@@ -423,8 +419,6 @@ class DetectionService {
   std::list<CacheKey> lru_;
   std::unordered_map<CacheKey, CacheEntry, CacheKeyHash> cache_;
 
-  StatsBook stats_;
-
   /// Disk tier under the LRU; null when not configured. Declared before
   /// pool_/dispatcher_ because their threads store into it; its own writer
   /// thread never touches service state, so destruction order is safe.
@@ -433,6 +427,8 @@ class DetectionService {
   // Declared before pool_/dispatcher_ so the gauges and histograms outlive
   // every thread that records into them (members destroy in reverse order).
   obs::MetricsRegistry metrics_;
+  mutable std::mutex cells_mutex_;  ///< guards cells_ membership, not values
+  std::map<std::string, StatsCell> cells_;
   std::array<obs::Histogram*, kStageCount> stage_hist_{};
   std::array<obs::Counter*, static_cast<std::size_t>(CacheProbe::kProbeCount)>
       probe_counters_{};

@@ -37,6 +37,7 @@ struct SrcLoc {
 struct Expr {
   ExprKind kind = ExprKind::Number;
   PunctId op = 0;       // operator spelling for Unary/Binary
+  std::uint16_t height = 1;  // 1 + tallest operand; <= kMaxNestingDepth
   int width = 0;        // Number payload
   std::uint64_t value = 0;
   Symbol name = util::kNoSymbol;  // Identifier payload

@@ -97,6 +97,8 @@ std::string spelling_of(PunctId id) { return std::string(kPunctSpellings[id - 1]
 // parsing free of heap traffic.
 // ---------------------------------------------------------------------------
 
+static_assert(kMaxNestingDepth < UINT16_MAX, "fast::Expr::height is 16 bits");
+
 class FastParser {
  public:
   FastParser(ParserWorkspace& ws, std::string_view source)
@@ -155,6 +157,31 @@ class FastParser {
     return std::span<const fast::Expr* const>(arr, ops.size());
   }
 
+  /// Sets a composite node's operands and its height, enforcing
+  /// kMaxNestingDepth on the tree itself.
+  void set_operands(fast::Expr* e, std::span<const fast::Expr* const> ops) {
+    std::uint16_t tallest = 0;
+    for (const fast::Expr* op : ops) tallest = std::max(tallest, op->height);
+    if (tallest >= kMaxNestingDepth) fail_nesting();
+    e->height = static_cast<std::uint16_t>(tallest + 1);
+    e->operands = ops;
+  }
+
+  /// One level of parser recursion, held for the production's lifetime.
+  class NestingGuard {
+   public:
+    explicit NestingGuard(FastParser& parser) : parser_(parser) {
+      if (parser_.depth_ == kMaxNestingDepth) parser_.fail_nesting();
+      ++parser_.depth_;
+    }
+    ~NestingGuard() { --parser_.depth_; }
+    NestingGuard(const NestingGuard&) = delete;
+    NestingGuard& operator=(const NestingGuard&) = delete;
+
+   private:
+    FastParser& parser_;
+  };
+
   util::Symbol intern(std::string_view text) { return symbols_.intern(text); }
 
   static fast::SrcLoc loc_of(const Token& t) noexcept { return {t.line, t.column}; }
@@ -174,6 +201,9 @@ class FastParser {
     throw ParseError(
         message + " (got '" + (t.is(TokenKind::End) ? "<eof>" : std::string(t.text)) + "')",
         t.line, t.column);
+  }
+  [[noreturn]] void fail_nesting() const {
+    fail("nesting deeper than " + std::to_string(kMaxNestingDepth) + " levels");
   }
   const Token& expect_punct(PunctId p) {
     if (peek().punct != p) fail("expected '" + spelling_of(p) + "'");
@@ -286,14 +316,14 @@ class FastParser {
           auto* range = arena_.create<fast::Expr>();
           range->kind = ExprKind::Range;
           range->loc = e->loc;
-          range->operands = operands({e, first, lsb});
+          set_operands(range, operands({e, first, lsb}));
           e = range;
         } else {
           expect_punct(kPRBracket);
           auto* index = arena_.create<fast::Expr>();
           index->kind = ExprKind::Index;
           index->loc = e->loc;
-          index->operands = operands({e, first});
+          set_operands(index, operands({e, first}));
           e = index;
         }
       }
@@ -317,7 +347,7 @@ class FastParser {
         auto* rep = arena_.create<fast::Expr>();
         rep->kind = ExprKind::Replicate;
         rep->loc = loc_of(t);
-        rep->operands = operands({first, part});
+        set_operands(rep, operands({first, part}));
         return rep;
       }
       const std::size_t mark = ws_.expr_stack_.size();
@@ -327,7 +357,7 @@ class FastParser {
       auto* concat = arena_.create<fast::Expr>();
       concat->kind = ExprKind::Concat;
       concat->loc = loc_of(t);
-      concat->operands = commit(ws_.expr_stack_, mark);
+      set_operands(concat, commit(ws_.expr_stack_, mark));
       return concat;
     }
     fail("expected expression");
@@ -336,12 +366,13 @@ class FastParser {
   const fast::Expr* parse_unary() {
     const Token& t = peek();
     if (t.is(TokenKind::Punct) && kIsUnaryOp[t.punct]) {
+      NestingGuard nest(*this);
       const PunctId op = advance().punct;
       auto* e = arena_.create<fast::Expr>();
       e->kind = ExprKind::Unary;
       e->op = op;
       e->loc = loc_of(t);
-      e->operands = operands({parse_unary()});
+      set_operands(e, operands({parse_unary()}));
       return e;
     }
     return parse_primary();
@@ -360,12 +391,13 @@ class FastParser {
       e->kind = ExprKind::Binary;
       e->op = op;
       e->loc = lhs->loc;
-      e->operands = operands({lhs, rhs});
+      set_operands(e, operands({lhs, rhs}));
       lhs = e;
     }
   }
 
   const fast::Expr* parse_expression() {
+    NestingGuard nest(*this);
     const fast::Expr* cond = parse_binary(1);
     if (accept_punct(kPQuestion)) {
       const fast::Expr* then_e = parse_expression();
@@ -374,7 +406,7 @@ class FastParser {
       auto* e = arena_.create<fast::Expr>();
       e->kind = ExprKind::Ternary;
       e->loc = cond->loc;
-      e->operands = operands({cond, then_e, else_e});
+      set_operands(e, operands({cond, then_e, else_e}));
       return e;
     }
     return cond;
@@ -402,6 +434,7 @@ class FastParser {
   }
 
   const fast::Stmt* parse_statement() {
+    NestingGuard nest(*this);
     const Token& t = peek();
 
     if (t.is_keyword("begin")) {
@@ -824,6 +857,7 @@ class FastParser {
   util::Arena& arena_;
   util::SymbolTable& symbols_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  ///< live NestingGuards
 };
 
 // ---------------------------------------------------------------------------

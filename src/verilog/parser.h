@@ -8,7 +8,7 @@
 // Out-of-subset constructs (4-state literals, memories, functions, generate)
 // raise ParseError with a source location; the corpus generator never emits
 // them, and user-supplied files get a clear diagnostic instead of a silently
-// wrong feature vector.
+// wrong feature vector. So does nesting past kMaxNestingDepth.
 //
 // There is one grammar implementation: it parses into the arena AST
 // (fast_ast.h) through a reusable ParserWorkspace. The classic owning
@@ -28,6 +28,18 @@
 #include "verilog/token.h"
 
 namespace noodle::verilog {
+
+/// Deepest nesting a parse accepts, counted two ways: parser recursion
+/// (parentheses, braces, selects, unary operators, ternaries, begin/end,
+/// if/else, case) and expression tree height (left-associative chains
+/// such as a+b+c or a[0][0] deepen the tree without recursing). Past it
+/// the parse throws ParseError at the offending token. Every walk over a
+/// parsed tree — netgraph lowering, tabular features, lint, to_owned, the
+/// printer — recurses at most statement depth + expression height, so this
+/// one bound keeps hostile RTL from exhausting a thread's stack.
+/// data::designgen output nests about 10 levels (tests/test_parser.cpp
+/// checks the margin).
+inline constexpr std::size_t kMaxNestingDepth = 1024;
 
 class ParseError : public std::runtime_error {
  public:

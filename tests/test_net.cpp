@@ -357,6 +357,30 @@ TEST_F(ScanServerFixture, InlineRtlScansAndEchoesTheInlineMarker) {
   EXPECT_EQ(line->substr(line->rfind('\t') + 1), net::protocol::kInlineEcho);
 }
 
+TEST_F(ScanServerFixture, HostilelyDeepRtlGetsParseErrorAndTheConnectionServesOn) {
+  serve::DetectionService service(registry_with_a(), "m");
+  ServerHarness harness(service, net::ServerConfig{});
+
+  // ~400 KB of nested parentheses: under the 1 MiB line cap, far past the
+  // parser's nesting bound. It used to overflow a worker's stack and kill
+  // every connection with the process.
+  const std::size_t depth = 200000;
+  LineClient client;
+  ASSERT_TRUE(client.connect(harness.port()));
+  ASSERT_TRUE(client.send_line("~inline module t(input a, output b); assign b = " +
+                               std::string(depth, '(') + "a" + std::string(depth, ')') +
+                               "; endmodule"));
+  EXPECT_EQ(client.read_line(),
+            net::protocol::status_line("parse-error", "m", net::protocol::kInlineEcho));
+
+  ASSERT_TRUE(client.send_line(
+      "~inline module t(input a, output b); assign b = a; endmodule"));
+  const auto line = client.read_line();
+  ASSERT_TRUE(line.has_value());
+  EXPECT_NE(line->find("\tmodel=m@1\t"), std::string::npos) << *line;
+  EXPECT_EQ(service.stats().parse_failures, 1u);
+}
+
 TEST_F(ScanServerFixture, UnreadableAndMalformedRequestsGetStatusLines) {
   serve::DetectionService service(registry_with_a(), "m");
   ServerHarness harness(service, net::ServerConfig{});

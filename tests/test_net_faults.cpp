@@ -325,13 +325,6 @@ TEST_F(NetFaultsTest, PrometheusMirrorNeverDisagreesWithTheStatsSnapshot) {
     EXPECT_EQ(client.read_line(), no_model());
   }
 
-  std::atomic<bool> synced{false};
-  harness.loop.post([&] {
-    harness.server.sync_metrics();
-    synced = true;
-  });
-  ASSERT_TRUE(wait_for([&] { return synced.load(); }));
-
   std::ostringstream exposition;
   service_.metrics().render_prometheus(exposition);
   const std::string text = exposition.str();

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "data/corpus.h"
 #include "verilog/printer.h"
 
 namespace noodle::verilog {
@@ -267,6 +271,119 @@ TEST(Parser, ErrorMessagesCarryLocation) {
   } catch (const ParseError& e) {
     EXPECT_NE(std::string(e.what()).find("line"), std::string::npos);
   }
+}
+
+// --- nesting bound ------------------------------------------------------------
+
+std::string repeat(const std::string& piece, std::size_t times) {
+  std::string out;
+  out.reserve(piece.size() * times);
+  for (std::size_t i = 0; i < times; ++i) out += piece;
+  return out;
+}
+
+/// Line 2 holds the nested construct, so error positions are checkable.
+std::string in_assign(const std::string& expr) {
+  return "module m(input [1:0] a, output y);\nassign y = " + expr + ";\nendmodule\n";
+}
+std::string in_always(const std::string& body) {
+  return "module m(input a, output reg y);\nalways @(*) " + body + "\nendmodule\n";
+}
+
+struct NestingShape {
+  const char* name;
+  std::string (*build)(std::size_t depth);
+};
+
+class ParserNesting : public ::testing::TestWithParam<NestingShape> {};
+
+TEST_P(ParserNesting, AcceptsHalfTheBound) {
+  EXPECT_NO_THROW(parse_module(GetParam().build(kMaxNestingDepth / 2)));
+}
+
+TEST_P(ParserNesting, RejectsHostileDepthWithAPosition) {
+  // 200k levels: the size of the ~400 KB one-line request that used to
+  // overflow the stack. Now it is an ordinary ParseError on line 2.
+  try {
+    parse_module(GetParam().build(200000));
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than"), std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.line(), 2);
+    EXPECT_GT(e.column(), 0);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ParserNesting,
+    ::testing::Values(
+        NestingShape{"Parentheses",
+                     [](std::size_t d) {
+                       return in_assign(repeat("(", d) + "a" + repeat(")", d));
+                     }},
+        NestingShape{"Unary", [](std::size_t d) { return in_assign(repeat("~", d) + "a"); }},
+        NestingShape{"Ternary",
+                     [](std::size_t d) { return in_assign(repeat("a ? a : ", d) + "a"); }},
+        // Left-associative chains deepen the tree without recursing in the
+        // parser; the bound holds on tree height too.
+        NestingShape{"BinaryChain",
+                     [](std::size_t d) { return in_assign("a" + repeat(" + a", d)); }},
+        NestingShape{"SelectChain",
+                     [](std::size_t d) { return in_assign("a" + repeat("[0]", d)); }},
+        NestingShape{"BeginEnd",
+                     [](std::size_t d) {
+                       return in_always(repeat("begin ", d) + "y = a;" + repeat(" end", d));
+                     }},
+        NestingShape{"IfElse",
+                     [](std::size_t d) {
+                       return in_always(repeat("if (a) y = a; else ", d) + "y = a;");
+                     }}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+/// Statement depth plus the tallest expression under it: how deep a
+/// recursive walk over the tree goes.
+std::size_t walk_depth(const fast::Stmt* stmt) {
+  if (stmt == nullptr) return 0;
+  std::size_t deepest = 0;
+  for (const fast::Expr* e : {stmt->cond, stmt->lhs, stmt->rhs}) {
+    if (e != nullptr) deepest = std::max<std::size_t>(deepest, e->height);
+  }
+  for (const fast::Stmt* child :
+       {stmt->then_branch, stmt->else_branch, stmt->for_init, stmt->for_step}) {
+    deepest = std::max(deepest, walk_depth(child));
+  }
+  for (const fast::Stmt* child : stmt->body) deepest = std::max(deepest, walk_depth(child));
+  for (const fast::CaseItem& item : stmt->case_items) {
+    for (const fast::Expr* label : item.labels) {
+      deepest = std::max<std::size_t>(deepest, label->height);
+    }
+    deepest = std::max(deepest, walk_depth(item.body));
+  }
+  return 1 + deepest;
+}
+
+TEST(Parser, BoundIsFarAboveGeneratedDesigns) {
+  data::CorpusSpec spec;
+  spec.design_count = 96;
+  spec.infected_fraction = 0.5;
+  spec.seed = 5;
+  ParserWorkspace workspace;
+  std::size_t deepest = 0;
+  for (const data::CircuitSample& circuit : data::build_corpus(spec)) {
+    const fast::Module& module = workspace.parse_single(circuit.verilog);
+    for (const fast::ContAssign& assign : module.assigns) {
+      deepest = std::max<std::size_t>(deepest, assign.rhs->height);
+    }
+    for (const fast::NetDecl& net : module.nets) {
+      if (net.init != nullptr) deepest = std::max<std::size_t>(deepest, net.init->height);
+    }
+    for (const fast::AlwaysBlock& block : module.always_blocks) {
+      deepest = std::max(deepest, walk_depth(block.body));
+    }
+  }
+  EXPECT_GT(deepest, 1u);
+  EXPECT_LE(deepest * 16, kMaxNestingDepth) << "deepest generated nesting " << deepest;
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // ModelRegistry's publish/resolve/retire/reload_from semantics, swap
 // atomicity under concurrent load (a scan is always answered by exactly one
 // generation, bit-identically), generation-scoped verdict caching, f32
-// snapshot compaction round-tripping through the registry, and StatsBook
-// snapshot consistency.
+// snapshot compaction round-tripping through the registry, and stats view
+// consistency.
 
 #include <gtest/gtest.h>
 
@@ -384,7 +384,7 @@ TEST_F(RegistryFixture, StatsMapIsBoundedAgainstBogusModelNames) {
 
   // A client spraying distinct nonexistent model names must not grow the
   // per-model stats map without bound: overflow names share one cell.
-  const std::size_t bogus = serve::StatsBook::kMaxTrackedModels + 40;
+  const std::size_t bogus = serve::kMaxTrackedModels + 40;
   std::vector<std::future<core::DetectionReport>> futures;
   futures.reserve(bogus);
   for (std::size_t i = 0; i < bogus; ++i) {
@@ -395,8 +395,8 @@ TEST_F(RegistryFixture, StatsMapIsBoundedAgainstBogusModelNames) {
 
   EXPECT_EQ(service.stats().model_misses, bogus);
   const auto by_model = service.stats_by_model();
-  EXPECT_LE(by_model.size(), serve::StatsBook::kMaxTrackedModels + 1);
-  const auto overflow = by_model.find(serve::StatsBook::kOverflowCell);
+  EXPECT_LE(by_model.size(), serve::kMaxTrackedModels + 1);
+  const auto overflow = by_model.find(serve::kOverflowCell);
   ASSERT_NE(overflow, by_model.end());
   EXPECT_GE(overflow->second.model_misses, 40u);
   std::uint64_t misses = 0;
@@ -477,7 +477,7 @@ TEST_F(RegistryFixture, I8SnapshotIsSmallerAndVerdictEquivalent) {
   std::filesystem::remove(path_i8);
 }
 
-// --- StatsBook consistency ---------------------------------------------------
+// --- stats view consistency -------------------------------------------------
 
 TEST_F(RegistryFixture, StatsSnapshotsAreNeverTorn) {
   auto registry = std::make_shared<serve::ModelRegistry>();

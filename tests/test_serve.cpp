@@ -549,7 +549,7 @@ TEST_F(DetectorSnapshot, StatsAndMetricsMirrorNeverDisagree) {
   EXPECT_EQ(sample_counter(samples, "noodle_batches_total", model), stats.batches);
 
   // And the rendered exposition agrees with the same snapshot the stats API
-  // hands out (the mirror syncs from ONE StatsBook lock acquisition).
+  // hands out (both read the same registry cells).
   std::ostringstream os;
   service.render_prometheus(os);
   const std::string text = os.str();
