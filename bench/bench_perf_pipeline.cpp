@@ -16,6 +16,7 @@
 #include <cmath>
 #include <filesystem>
 #include <future>
+#include <memory>
 #include <thread>
 
 #include "net/event_loop.h"
@@ -54,13 +55,58 @@ const std::vector<data::CircuitSample>& corpus() {
   return circuits;
 }
 
+/// The corpus parsed on the production arena path, one ParserWorkspace per
+/// design so every arena module stays live, with each design's NetGraph
+/// built over its parser's intern pool: the inputs
+/// feat::FeaturizeWorkspace::featurize hands each layer. The layer benches
+/// below time exactly the calls featurize makes, so their medians decompose
+/// BM_FeaturizeWorkspace.
+struct ParsedCorpus {
+  std::vector<std::unique_ptr<verilog::ParserWorkspace>> parsers;
+  std::vector<const verilog::fast::Module*> modules;
+  std::vector<graph::NetGraph> graphs;
+};
+
+const ParsedCorpus& parsed_corpus() {
+  static const auto parsed = [] {
+    ParsedCorpus out;
+    graph::BuildScratch scratch;
+    for (const auto& circuit : corpus()) {
+      auto& parser = out.parsers.emplace_back(std::make_unique<verilog::ParserWorkspace>());
+      out.modules.push_back(&parser->parse_single(circuit.verilog));
+      graph::build_netgraph(*out.modules.back(), out.graphs.emplace_back(parser->symbols()),
+                            scratch);
+    }
+    return out;
+  }();
+  return parsed;
+}
+
+/// Reference features via the classic owning pipeline, for the in-bench
+/// identity checks below (the arena path must reproduce them bit for bit).
+const std::vector<std::pair<std::vector<double>, std::vector<double>>>&
+reference_features() {
+  static const auto reference = [] {
+    std::vector<std::pair<std::vector<double>, std::vector<double>>> out;
+    for (const auto& circuit : corpus()) {
+      const verilog::Module module = verilog::parse_module(circuit.verilog);
+      out.emplace_back(graph::graph_features(graph::build_netgraph(module)),
+                       feat::tabular_features(module));
+    }
+    return out;
+  }();
+  return reference;
+}
+
 void BM_ParseVerilog(benchmark::State& state) {
+  // Lex + arena parse through a reused workspace, as featurize runs it.
   const auto& circuits = corpus();
+  verilog::ParserWorkspace parser;
   std::size_t i = 0;
   std::size_t bytes = 0;
   for (auto _ : state) {
     const auto& circuit = circuits[i++ % circuits.size()];
-    benchmark::DoNotOptimize(verilog::parse_module(circuit.verilog));
+    benchmark::DoNotOptimize(&parser.parse_single(circuit.verilog));
     bytes += circuit.verilog.size();
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
@@ -68,25 +114,35 @@ void BM_ParseVerilog(benchmark::State& state) {
 BENCHMARK(BM_ParseVerilog);
 
 void BM_BuildNetGraph(benchmark::State& state) {
-  std::vector<verilog::Module> modules;
-  for (const auto& circuit : corpus()) {
-    modules.push_back(verilog::parse_module(circuit.verilog));
-  }
+  const ParsedCorpus& parsed = parsed_corpus();
+  std::vector<graph::NetGraph> graphs;
+  for (const auto& parser : parsed.parsers) graphs.emplace_back(parser->symbols());
+  graph::BuildScratch scratch;
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::build_netgraph(modules[i++ % modules.size()]));
+    const std::size_t at = i++ % graphs.size();
+    graph::build_netgraph(*parsed.modules[at], graphs[at], scratch);
+    benchmark::DoNotOptimize(graphs[at].node_count());
   }
 }
 BENCHMARK(BM_BuildNetGraph);
 
 void BM_GraphFeatures(benchmark::State& state) {
-  std::vector<graph::NetGraph> graphs;
-  for (const auto& circuit : corpus()) {
-    graphs.push_back(graph::build_netgraph(verilog::parse_module(circuit.verilog)));
+  const ParsedCorpus& parsed = parsed_corpus();
+  const auto& reference = reference_features();
+  graph::FeatureScratch scratch;
+  std::vector<double> out(graph::kGraphFeatureDim);
+  for (std::size_t at = 0; at < parsed.graphs.size(); ++at) {
+    graph::graph_features(parsed.graphs[at], out, scratch);
+    if (out != reference[at].first) {
+      state.SkipWithError("graph features diverged from the owning reference path");
+      return;
+    }
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(graph::graph_features(graphs[i++ % graphs.size()]));
+    graph::graph_features(parsed.graphs[i++ % parsed.graphs.size()], out, scratch);
+    benchmark::DoNotOptimize(out.data());
   }
 }
 BENCHMARK(BM_GraphFeatures);
@@ -120,13 +176,21 @@ void BM_SpectralSketch(benchmark::State& state) {
 BENCHMARK(BM_SpectralSketch);
 
 void BM_TabularFeatures(benchmark::State& state) {
-  std::vector<verilog::Module> modules;
-  for (const auto& circuit : corpus()) {
-    modules.push_back(verilog::parse_module(circuit.verilog));
+  const ParsedCorpus& parsed = parsed_corpus();
+  const auto& reference = reference_features();
+  feat::TabularScratch scratch;
+  std::vector<double> out(feat::kTabularFeatureDim);
+  for (std::size_t at = 0; at < parsed.modules.size(); ++at) {
+    feat::tabular_features(*parsed.modules[at], out, scratch);
+    if (out != reference[at].second) {
+      state.SkipWithError("tabular features diverged from the owning reference path");
+      return;
+    }
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(feat::tabular_features(modules[i++ % modules.size()]));
+    feat::tabular_features(*parsed.modules[i++ % parsed.modules.size()], out, scratch);
+    benchmark::DoNotOptimize(out.data());
   }
 }
 BENCHMARK(BM_TabularFeatures);
@@ -146,22 +210,6 @@ void BM_Lex(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_Lex);
-
-/// Reference features via the classic owning pipeline, for the in-bench
-/// identity checks below (the arena path must reproduce them bit for bit).
-const std::vector<std::pair<std::vector<double>, std::vector<double>>>&
-reference_features() {
-  static const auto reference = [] {
-    std::vector<std::pair<std::vector<double>, std::vector<double>>> out;
-    for (const auto& circuit : corpus()) {
-      const verilog::Module module = verilog::parse_module(circuit.verilog);
-      out.emplace_back(graph::graph_features(graph::build_netgraph(module)),
-                       feat::tabular_features(module));
-    }
-    return out;
-  }();
-  return reference;
-}
 
 void BM_Featurize(benchmark::State& state) {
   // The full front end through data::featurize (thread-local workspace
@@ -376,8 +424,8 @@ void BM_ExperimentSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_ExperimentSweep)->Arg(1)->Arg(2)->Arg(4)->UseRealTime()->Unit(benchmark::kMillisecond);
 
-const core::NoodleDetector& fitted_detector() {
-  static const auto detector = [] {
+const std::shared_ptr<const core::FittedModel>& fitted_detector() {
+  static const auto model = [] {
     core::DetectorConfig config;
     config.seed = 3;
     config.gan_target_per_class = 40;
@@ -390,9 +438,9 @@ const core::NoodleDetector& fitted_detector() {
     spec.infected_fraction = 0.35;
     spec.seed = 3;
     d.fit(data::build_corpus(spec));
-    return d;
+    return d.fitted_model();
   }();
-  return detector;
+  return model;
 }
 
 const std::vector<data::FeatureSample>& scan_samples() {
@@ -418,17 +466,17 @@ bool identical_reports(const std::vector<core::DetectionReport>& a,
 
 /// Serial (1-thread) reference scans, computed once.
 const std::vector<core::DetectionReport>& scan_reference() {
-  static const auto reference = fitted_detector().scan_many(scan_samples(), 1);
+  static const auto reference = fitted_detector()->scan_many(scan_samples(), 1);
   return reference;
 }
 
 void BM_ScanMany(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
-  const auto& detector = fitted_detector();
+  const core::FittedModel& model = *fitted_detector();
   const auto& samples = scan_samples();
   const auto& reference = scan_reference();  // built outside the timed loop
   for (auto _ : state) {
-    const auto reports = detector.scan_many(samples, threads);
+    const auto reports = model.scan_many(samples, threads);
     benchmark::DoNotOptimize(reports);
     if (!identical_reports(reports, reference)) {
       state.SkipWithError("scan reports diverged from the 1-thread reference");
@@ -451,17 +499,17 @@ void BM_SnapshotSaveLoad(benchmark::State& state) {
                                                : nn::WeightPrecision::F64;
   const bool f32 = precision == nn::WeightPrecision::F32;
   const bool i8 = precision == nn::WeightPrecision::I8;
-  const auto& detector = fitted_detector();
+  const core::FittedModel& model = *fitted_detector();
   const auto path = std::filesystem::temp_directory_path() / "noodle_bench.snap";
-  const core::DetectionReport reference = detector.scan_features(scan_samples()[0]);
+  const core::DetectionReport reference = model.scan_features(scan_samples()[0]);
   std::uintmax_t snapshot_bytes = 0;
   for (auto _ : state) {
-    detector.save(path, precision);
-    const core::NoodleDetector loaded = core::NoodleDetector::from_snapshot(path);
+    model.save(path, precision);
+    const std::shared_ptr<const core::FittedModel> loaded = core::FittedModel::load(path);
     benchmark::DoNotOptimize(loaded);
     state.PauseTiming();
     snapshot_bytes = std::filesystem::file_size(path);
-    const core::DetectionReport check = loaded.scan_features(scan_samples()[0]);
+    const core::DetectionReport check = loaded->scan_features(scan_samples()[0]);
     // F64 round-trips bit-exactly; F32 rounds each weight, so the verdict
     // only has to stay label-identical and probability-close; I8 is coarser
     // still, so the bar is the label plus a wide probability neighborhood.
@@ -491,8 +539,8 @@ BENCHMARK(BM_SnapshotSaveLoad)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillise
 void BM_RegistryResolve(benchmark::State& state) {
   const bool via_view = state.range(0) != 0;
   serve::ModelRegistry registry;
-  registry.publish("prod", fitted_detector().fitted_model());
-  registry.publish("canary", fitted_detector().fitted_model());
+  registry.publish("prod", fitted_detector());
+  registry.publish("canary", fitted_detector());
   const serve::ModelRegistry::LatestView view = registry.latest_view("prod");
   for (auto _ : state) {
     if (via_view) {
@@ -510,8 +558,8 @@ void BM_HotReload(benchmark::State& state) {
   // One reload = snapshot read + full validation + arm rebuild + atomic
   // publish — the latency floor for a zero-downtime model upgrade.
   const auto path = std::filesystem::temp_directory_path() / "noodle_bench_reload.snap";
-  fitted_detector().save(path);
-  const core::DetectionReport reference = fitted_detector().scan_features(scan_samples()[0]);
+  fitted_detector()->save(path);
+  const core::DetectionReport reference = fitted_detector()->scan_features(scan_samples()[0]);
   serve::ModelRegistry registry;
   registry.reload_from("prod", path);
   for (auto _ : state) {
@@ -535,7 +583,7 @@ BENCHMARK(BM_HotReload)->Unit(benchmark::kMillisecond);
 void BM_ServiceThroughput(benchmark::State& state) {
   const bool cached = state.range(0) != 0;
   const auto path = std::filesystem::temp_directory_path() / "noodle_bench_svc.snap";
-  fitted_detector().save(path);
+  fitted_detector()->save(path);
   serve::ServiceConfig config;
   config.max_batch = 16;
   config.cache_capacity = cached ? 4096 : 0;
@@ -574,7 +622,7 @@ BENCHMARK(BM_ServiceThroughput)->Arg(0)->Arg(1)->UseRealTime()->Unit(benchmark::
 
 void BM_NetRoundTrip(benchmark::State& state) {
   const auto path = std::filesystem::temp_directory_path() / "noodle_bench_net.snap";
-  fitted_detector().save(path);
+  fitted_detector()->save(path);
   serve::DetectionService service(path, serve::ServiceConfig{});
   std::filesystem::remove(path);
 

@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <iostream>
+#include <memory>
 
 #include "core/detector.h"
 #include "data/decoys.h"
@@ -54,22 +55,24 @@ int main(int argc, char** argv) {
   //    trains both fusion arms, and picks the winner by calibration Brier
   //    score; a snapshot makes that cost a one-time event.
   const std::filesystem::path snapshot = argc > 1 ? argv[1] : "";
-  core::DetectorConfig config;
-  config.seed = 42;
-  core::NoodleDetector detector(config);
+  std::shared_ptr<const core::FittedModel> model;
   if (!snapshot.empty() && std::filesystem::exists(snapshot)) {
     std::cout << "loading fitted detector from " << snapshot.string() << "..."
               << std::flush;
-    detector.load(snapshot);
+    model = core::FittedModel::load(snapshot);
   } else {
     std::cout << "training detector on the default synthetic corpus..." << std::flush;
+    core::DetectorConfig config;
+    config.seed = 42;
+    core::NoodleDetector detector(config);
     detector.fit_default();
+    model = detector.fitted_model();
     if (!snapshot.empty()) {
-      detector.save(snapshot);
+      model->save(snapshot);
       std::cout << " (snapshot saved to " << snapshot.string() << ")" << std::flush;
     }
   }
-  std::cout << " done (winner: " << detector.winning_fusion() << ")\n\n";
+  std::cout << " done (winner: " << model->winning_fusion() << ")\n\n";
 
   // 2. A clean circuit: a fresh LFSR the detector has never seen, decorated
   //    with the benign watchdog/decode structure real IP carries (the same
@@ -80,7 +83,7 @@ int main(int argc, char** argv) {
   util::Rng decoy_rng(31);
   data::add_benign_decoys(clean, decoy_rng);
   const std::string clean_verilog = verilog::print_module(clean);
-  report("[clean LFSR]", detector.scan_verilog(clean_verilog));
+  report("[clean LFSR]", model->scan_verilog(clean_verilog));
 
   // 3. The same design with a time-bomb Trojan leaking internal state.
   verilog::Module infected = clean.clone();
@@ -93,7 +96,7 @@ int main(int argc, char** argv) {
   std::cout << "(planted a " << trojan::to_string(planted.trigger) << "/"
             << trojan::to_string(planted.payload) << " Trojan on output '"
             << planted.victim_output << "')\n";
-  report("[infected LFSR]", detector.scan_verilog(verilog::print_module(infected)));
+  report("[infected LFSR]", model->scan_verilog(verilog::print_module(infected)));
 
   return 0;
 }

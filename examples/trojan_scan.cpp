@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "core/detector.h"
@@ -56,16 +57,18 @@ int main(int argc, char** argv) {
   }
 
   const std::filesystem::path snapshot = argc > 2 ? argv[2] : "";
-  core::DetectorConfig config;
-  config.seed = 42;
-  core::NoodleDetector detector(config);
+  std::shared_ptr<const core::FittedModel> model;
   if (!snapshot.empty() && std::filesystem::exists(snapshot)) {
     std::cout << "loading detector snapshot " << snapshot.string() << "..." << std::flush;
-    detector.load(snapshot);
+    model = core::FittedModel::load(snapshot);
   } else {
     std::cout << "training detector..." << std::flush;
+    core::DetectorConfig config;
+    config.seed = 42;
+    core::NoodleDetector detector(config);
     detector.fit_default();
-    if (!snapshot.empty()) detector.save(snapshot);
+    model = detector.fitted_model();
+    if (!snapshot.empty()) model->save(snapshot);
   }
   std::cout << " done\n\n";
 
@@ -76,7 +79,7 @@ int main(int argc, char** argv) {
     const std::string source((std::istreambuf_iterator<char>(in)),
                              std::istreambuf_iterator<char>());
     try {
-      rows.push_back({entry.path().filename().string(), detector.scan_verilog(source)});
+      rows.push_back({entry.path().filename().string(), model->scan_verilog(source)});
     } catch (const std::exception& e) {
       std::cerr << "skipping " << entry.path().filename().string() << ": " << e.what()
                 << "\n";

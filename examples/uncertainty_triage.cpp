@@ -8,9 +8,13 @@
 //              looks at exactly these, and validity guarantees bound how
 //              often the accepted queue hides a real Trojan.
 //
-//   ./build/examples/uncertainty_triage [confidence=0.9]
+//   ./build/example_uncertainty_triage [confidence=0.9]
 
+#include <charconv>
+#include <cstdlib>
 #include <iostream>
+#include <memory>
+#include <string_view>
 #include <vector>
 
 #include "core/detector.h"
@@ -21,8 +25,29 @@
 
 using namespace noodle;
 
+namespace {
+
+/// argv[1] is the confidence level (default 0.9). Anything but a number
+/// strictly between 0 and 1 prints usage and exits 2, before any training.
+double parse_confidence(int argc, char** argv) {
+  if (argc < 2) return 0.9;
+  const std::string_view arg = argv[1];
+  double confidence = 0.0;
+  const auto [end, error] =
+      std::from_chars(arg.data(), arg.data() + arg.size(), confidence);
+  if (error != std::errc{} || end != arg.data() + arg.size() ||
+      !(confidence > 0.0 && confidence < 1.0)) {
+    std::cerr << "usage: " << argv[0] << " [CONFIDENCE]\n"
+              << "  CONFIDENCE: confidence level strictly between 0 and 1 (default 0.9)\n";
+    std::exit(2);
+  }
+  return confidence;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
-  const double confidence = argc > 1 ? std::stod(argv[1]) : 0.9;
+  const double confidence = parse_confidence(argc, argv);
 
   std::cout << "uncertainty-aware triage at " << util::format_fixed(confidence * 100, 0)
             << "% confidence\n\ntraining detector..." << std::flush;
@@ -31,6 +56,7 @@ int main(int argc, char** argv) {
   config.confidence_level = confidence;
   core::NoodleDetector detector(config);
   detector.fit_default();
+  const std::shared_ptr<const core::FittedModel> model = detector.fitted_model();
   std::cout << " done\n";
 
   // A fresh batch of unseen circuits with ground truth for scoring.
@@ -44,7 +70,7 @@ int main(int argc, char** argv) {
   std::size_t accept_wrong = 0, reject_wrong = 0;
   std::size_t review_infected = 0;
   for (const auto& circuit : batch) {
-    const core::DetectionReport report = detector.scan_verilog(circuit.verilog);
+    const core::DetectionReport report = model->scan_verilog(circuit.verilog);
     if (report.region.is_singleton()) {
       if (report.region.contains[1]) {
         ++reject;
@@ -77,6 +103,6 @@ int main(int argc, char** argv) {
                "bounds the per-class error of the automatic decisions near "
             << util::format_fixed((1.0 - confidence) * 100, 0)
             << "%.\nre-run with a different confidence, e.g. "
-               "./build/examples/uncertainty_triage 0.8\n";
+               "./build/example_uncertainty_triage 0.8\n";
   return 0;
 }

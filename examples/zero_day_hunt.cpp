@@ -4,9 +4,10 @@
 // trigger families. Shows both the generalization NOODLE's structural
 // features buy and the gap that remains.
 //
-//   ./build/examples/zero_day_hunt
+//   ./build/example_zero_day_hunt
 
 #include <iostream>
+#include <memory>
 
 #include "core/detector.h"
 #include "data/corpus.h"
@@ -16,8 +17,8 @@ using namespace noodle;
 
 namespace {
 
-core::NoodleDetector train_detector(const std::vector<trojan::TriggerKind>& triggers,
-                                    std::uint64_t seed) {
+std::shared_ptr<const core::FittedModel> train_detector(
+    const std::vector<trojan::TriggerKind>& triggers, std::uint64_t seed) {
   data::CorpusSpec spec;
   spec.design_count = 120;
   spec.infected_fraction = 0.3;
@@ -28,7 +29,7 @@ core::NoodleDetector train_detector(const std::vector<trojan::TriggerKind>& trig
   config.seed = seed;
   core::NoodleDetector detector(config);
   detector.fit(data::build_corpus(spec));
-  return detector;
+  return detector.fitted_model();
 }
 
 struct Score {
@@ -36,11 +37,11 @@ struct Score {
   double false_alarm_rate = 0.0; // on clean circuits of the same batch
 };
 
-Score evaluate(const core::NoodleDetector& detector,
+Score evaluate(const core::FittedModel& model,
                const std::vector<data::CircuitSample>& batch) {
   std::size_t hits = 0, positives = 0, alarms = 0, negatives = 0;
   for (const auto& circuit : batch) {
-    const auto report = detector.scan_verilog(circuit.verilog);
+    const auto report = model.scan_verilog(circuit.verilog);
     const bool flagged = report.predicted_label == data::kTrojanInfected;
     if (circuit.infected) {
       ++positives;
@@ -83,8 +84,8 @@ int main() {
   attack.allowed_triggers = {trojan::TriggerKind::Sequence};
   const auto batch = data::build_corpus(attack);
 
-  const Score a = evaluate(detector_a, batch);
-  const Score b = evaluate(detector_b, batch);
+  const Score a = evaluate(*detector_a, batch);
+  const Score b = evaluate(*detector_b, batch);
 
   std::cout << "attack batch: " << batch.size()
             << " circuits, all infections sequence-triggered\n\n";

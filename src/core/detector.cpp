@@ -12,22 +12,6 @@ NoodleDetector::NoodleDetector(DetectorConfig config) : config_(std::move(config
   config_.fusion.seed = config_.seed + 13;
 }
 
-NoodleDetector::NoodleDetector(std::shared_ptr<const FittedModel> model)
-    : config_(model ? model->config() : DetectorConfig{}), model_(std::move(model)) {}
-
-NoodleDetector::~NoodleDetector() = default;
-
-NoodleDetector::NoodleDetector(NoodleDetector&& other) noexcept
-    : config_(std::move(other.config_)), model_(other.model_.exchange(nullptr)) {}
-
-NoodleDetector& NoodleDetector::operator=(NoodleDetector&& other) noexcept {
-  if (this != &other) {
-    config_ = std::move(other.config_);
-    model_.store(other.model_.exchange(nullptr));
-  }
-  return *this;
-}
-
 void NoodleDetector::fit(const std::vector<data::CircuitSample>& corpus) {
   if (corpus.empty()) throw std::invalid_argument("NoodleDetector::fit: empty corpus");
   data::FeatureDataset dataset = data::featurize_corpus(corpus);
@@ -71,11 +55,8 @@ void NoodleDetector::fit(const std::vector<data::CircuitSample>& corpus) {
   const double late_brier = arm_brier(late);
   const std::string winner = late_brier <= early_brier ? "late_fusion" : "early_fusion";
 
-  // Build the complete replacement generation, then publish it with one
-  // atomic store — a concurrent scan either sees the old generation or this
-  // one, never a mixture.
-  model_.store(std::make_shared<const FittedModel>(config_, std::move(early),
-                                                   std::move(late), winner));
+  model_ = std::make_shared<const FittedModel>(config_, std::move(early), std::move(late),
+                                               winner);
 }
 
 void NoodleDetector::fit_default() {
@@ -84,60 +65,6 @@ void NoodleDetector::fit_default() {
   spec.infected_fraction = 0.3;
   spec.seed = config_.seed;
   fit(data::build_corpus(spec));
-}
-
-std::shared_ptr<const FittedModel> NoodleDetector::fitted_model() const noexcept {
-  return model_.load();
-}
-
-std::shared_ptr<const FittedModel> NoodleDetector::require_model() const {
-  std::shared_ptr<const FittedModel> model = model_.load();
-  if (!model) throw std::logic_error("NoodleDetector: fit() first");
-  return model;
-}
-
-DetectionReport NoodleDetector::scan_features(const data::FeatureSample& sample) const {
-  return require_model()->scan_features(sample);
-}
-
-DetectionReport NoodleDetector::scan_verilog(const std::string& verilog_source,
-                                             bool lint) const {
-  return require_model()->scan_verilog(verilog_source, lint);
-}
-
-std::vector<DetectionReport> NoodleDetector::scan_many(
-    std::span<const data::FeatureSample> samples, std::size_t threads) const {
-  return require_model()->scan_many(samples, threads);
-}
-
-std::vector<DetectionReport> NoodleDetector::scan_verilog_many(
-    std::span<const std::string> sources, std::size_t threads, bool lint) const {
-  return require_model()->scan_verilog_many(sources, threads, lint);
-}
-
-void NoodleDetector::save(const std::filesystem::path& path,
-                          nn::WeightPrecision precision) const {
-  std::shared_ptr<const FittedModel> model = model_.load();
-  if (!model) throw std::logic_error("NoodleDetector::save: fit() first");
-  model->save(path, precision);
-}
-
-void NoodleDetector::load(const std::filesystem::path& path) {
-  // FittedModel::load builds and validates the replacement fully before we
-  // touch our handle, so a bad snapshot leaves this detector untouched.
-  std::shared_ptr<const FittedModel> model = FittedModel::load(path);
-  config_ = model->config();
-  model_.store(std::move(model));
-}
-
-NoodleDetector NoodleDetector::from_snapshot(const std::filesystem::path& path) {
-  return NoodleDetector(FittedModel::load(path));
-}
-
-bool NoodleDetector::fitted() const noexcept { return model_.load() != nullptr; }
-
-const std::string& NoodleDetector::winning_fusion() const {
-  return require_model()->winning_fusion();
 }
 
 }  // namespace noodle::core

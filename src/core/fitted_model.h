@@ -1,14 +1,14 @@
 #pragma once
-// core::FittedModel — the immutable fitted state behind a NoodleDetector.
+// core::FittedModel — the immutable fitted state a NoodleDetector produces,
+// and the one surface for scanning, saving and loading a fitted detector.
 //
-// Splitting the fitted state out of the mutable detector is what makes the
-// serving stack swap-safe: a FittedModel is const after construction, so a
+// A FittedModel is const after construction, so a
 // `shared_ptr<const FittedModel>` handle can be scanned from any number of
 // threads while another thread publishes a replacement — an in-flight scan
 // keeps its generation alive through the shared_ptr and can never observe a
-// half-swapped model. NoodleDetector, serve::ModelRegistry, and
-// serve::DetectionService all traffic in these handles; only fit()/load()
-// ever create one.
+// half-swapped model. serve::ModelRegistry (the one place a live handle is
+// swapped) and serve::DetectionService traffic in these handles; only
+// NoodleDetector::fit() and FittedModel::load() ever create one.
 
 #include <array>
 #include <cstdint>
@@ -111,7 +111,7 @@ struct DetectionReport {
 /// so one instance can serve concurrent scans from any number of threads.
 class FittedModel {
  public:
-  /// Assembled by NoodleDetector::fit() / load(); `winner` must be
+  /// Assembled by NoodleDetector::fit() and FittedModel::load(); `winner` must be
   /// "early_fusion" or "late_fusion".
   FittedModel(DetectorConfig config, fusion::EarlyFusionModel early,
               fusion::LateFusionModel late, std::string winner);

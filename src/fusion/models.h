@@ -150,7 +150,7 @@ class LateFusionModel : public ClassifierArm {
 
   /// Predicts and refreshes last_modality_p_values(). Because of that cache
   /// refresh this override is NOT safe to call concurrently; parallel
-  /// callers (NoodleDetector::scan_many) use predict_detail() instead.
+  /// callers (FittedModel::scan_many) use predict_detail() instead.
   Prediction predict(const data::FeatureSample& sample) const override;
 
   /// Pure prediction returning the per-modality p-values alongside the

@@ -34,16 +34,6 @@ ServiceConfig validate(ServiceConfig config) {
   return config;
 }
 
-std::shared_ptr<ModelRegistry> single_model_registry(core::NoodleDetector detector) {
-  std::shared_ptr<const core::FittedModel> model = detector.fitted_model();
-  if (!model) {
-    throw std::invalid_argument("DetectionService: detector must be fitted");
-  }
-  auto registry = std::make_shared<ModelRegistry>();
-  registry->publish(kDefaultModelName, std::move(model));
-  return registry;
-}
-
 std::shared_ptr<ModelRegistry> single_model_registry(const std::filesystem::path& snapshot) {
   auto registry = std::make_shared<ModelRegistry>();
   registry->reload_from(kDefaultModelName, snapshot);
@@ -127,10 +117,6 @@ void DetectionService::register_metrics() {
   pool_in_flight_ = &metrics_.gauge("noodle_pool_inflight",
                                     "Batches executing on the scan thread pool.");
 }
-
-DetectionService::DetectionService(core::NoodleDetector detector, ServiceConfig config)
-    : DetectionService(single_model_registry(std::move(detector)), kDefaultModelName,
-                       config) {}
 
 DetectionService::DetectionService(const std::filesystem::path& snapshot,
                                    ServiceConfig config)
@@ -618,9 +604,11 @@ void DetectionService::process_group(const std::string& group_label,
       // The handle pins this generation for the whole batch: a reload
       // swapping `latest` right now neither blocks this scan nor changes
       // its verdicts. The span records the whole-batch scan once into the
-      // infer histogram; per-request shares land in timing.infer_us.
+      // infer histogram; per-request shares land in timing.infer_us. One
+      // thread: the pool's workers are the parallelism, so a batch never
+      // fans out further.
       obs::TraceSpan span(stage_hist_[kStageInfer]);
-      reports = handle->model().scan_many(samples, config_.scan_threads);
+      reports = handle->model().scan_many(samples, 1);
       scan_nanos = span.finish();
     } catch (...) {
       // A batch-level failure must not leave futures dangling (a task

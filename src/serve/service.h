@@ -39,7 +39,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/detector.h"
+#include "core/fitted_model.h"
 #include "lint/lint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -49,7 +49,7 @@
 
 namespace noodle::serve {
 
-/// Model name used by the single-model convenience constructors and by
+/// Model name used by the single-model convenience constructor and by
 /// submit() overloads that don't name a model.
 inline constexpr const char* kDefaultModelName = "default";
 
@@ -81,11 +81,9 @@ struct ServiceConfig {
   std::chrono::milliseconds batch_linger{2};
   /// LRU verdict-cache capacity in entries; 0 disables caching.
   std::size_t cache_capacity = 4096;
-  /// Worker threads executing detector batches (the batch itself fans out
-  /// further via FittedModel::scan_many).
+  /// Worker threads executing detector batches; each batch is scanned on
+  /// the worker that picked it up.
   std::size_t workers = 1;
-  /// Thread count forwarded to scan_many inside one batch (0 = hardware).
-  std::size_t scan_threads = 1;
   /// Run the lint:: static-analysis pass on every scanned source and attach
   /// the findings to the report (verdicts are unaffected). Toggleable at
   /// runtime via DetectionService::set_lint().
@@ -149,11 +147,6 @@ class DetectionService {
   DetectionService(std::shared_ptr<ModelRegistry> registry,
                    std::string default_model = kDefaultModelName,
                    ServiceConfig config = {});
-
-  /// Single-model convenience: adopts an already-fitted detector into a
-  /// private registry as "default"@1. Throws std::invalid_argument if the
-  /// detector is unfitted or the config is degenerate.
-  explicit DetectionService(core::NoodleDetector detector, ServiceConfig config = {});
 
   /// Single-model convenience: loads "default"@1 from a snapshot archive.
   explicit DetectionService(const std::filesystem::path& snapshot,

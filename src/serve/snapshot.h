@@ -1,6 +1,6 @@
 #pragma once
 // Versioned binary snapshot archive — the container format behind
-// NoodleDetector::save()/load(). A snapshot is what turns a fitted detector
+// core::FittedModel::save()/load(). A snapshot is what turns a fitted detector
 // into a deployable artifact: train once, write the archive, and any number
 // of serving processes can load it without paying the corpus → GAN → CNN →
 // ICP fit again (see serve::DetectionService).

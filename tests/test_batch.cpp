@@ -178,14 +178,15 @@ class ScanMany : public ::testing::Test {
     config.gan.epochs = 20;
     config.fusion.train.epochs = 8;
     config.fusion.train.validation_fraction = 0.0;
-    detector_ = new core::NoodleDetector(config);
+    core::NoodleDetector detector(config);
 
     data::CorpusSpec spec;
     spec.design_count = 72;
     spec.infected_fraction = 0.35;
     spec.seed = 7;
     corpus_ = new std::vector<data::CircuitSample>(data::build_corpus(spec));
-    detector_->fit(*corpus_);
+    detector.fit(*corpus_);
+    model_ = detector.fitted_model();
 
     samples_ = new std::vector<data::FeatureSample>();
     for (const auto& circuit : *corpus_) samples_->push_back(data::featurize(circuit));
@@ -196,8 +197,7 @@ class ScanMany : public ::testing::Test {
     samples_ = nullptr;
     delete corpus_;
     corpus_ = nullptr;
-    delete detector_;
-    detector_ = nullptr;
+    model_.reset();
   }
 
   static void expect_same_report(const core::DetectionReport& a,
@@ -209,22 +209,22 @@ class ScanMany : public ::testing::Test {
     EXPECT_EQ(a.fusion_used, b.fusion_used);
   }
 
-  static core::NoodleDetector* detector_;
+  static std::shared_ptr<const core::FittedModel> model_;
   static std::vector<data::CircuitSample>* corpus_;
   static std::vector<data::FeatureSample>* samples_;
 };
 
-core::NoodleDetector* ScanMany::detector_ = nullptr;
+std::shared_ptr<const core::FittedModel> ScanMany::model_;
 std::vector<data::CircuitSample>* ScanMany::corpus_ = nullptr;
 std::vector<data::FeatureSample>* ScanMany::samples_ = nullptr;
 
 TEST_F(ScanMany, MatchesSequentialScanFeaturesAtAnyThreadCount) {
   std::vector<core::DetectionReport> sequential;
   for (const auto& sample : *samples_) {
-    sequential.push_back(detector_->scan_features(sample));
+    sequential.push_back(model_->scan_features(sample));
   }
   for (const std::size_t threads : {1u, 2u, 4u}) {
-    const auto batched = detector_->scan_many(*samples_, threads);
+    const auto batched = model_->scan_many(*samples_, threads);
     ASSERT_EQ(batched.size(), sequential.size());
     for (std::size_t i = 0; i < batched.size(); ++i) {
       expect_same_report(batched[i], sequential[i]);
@@ -236,28 +236,22 @@ TEST_F(ScanMany, ScanVerilogManyMatchesScanVerilog) {
   std::vector<std::string> sources;
   for (std::size_t i = 0; i < 8; ++i) sources.push_back((*corpus_)[i].verilog);
 
-  const auto batched = detector_->scan_verilog_many(sources, 4);
+  const auto batched = model_->scan_verilog_many(sources, 4);
   ASSERT_EQ(batched.size(), sources.size());
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    expect_same_report(batched[i], detector_->scan_verilog(sources[i]));
+    expect_same_report(batched[i], model_->scan_verilog(sources[i]));
   }
 }
 
 TEST_F(ScanMany, EmptyBatchReturnsEmpty) {
-  EXPECT_TRUE(detector_->scan_many({}, 4).empty());
-  EXPECT_TRUE(detector_->scan_verilog_many({}, 4).empty());
+  EXPECT_TRUE(model_->scan_many({}, 4).empty());
+  EXPECT_TRUE(model_->scan_verilog_many({}, 4).empty());
 }
 
 TEST_F(ScanMany, MalformedVerilogPropagatesFromWorkers) {
   std::vector<std::string> sources = {(*corpus_)[0].verilog, "module broken(",
                                       (*corpus_)[1].verilog};
-  EXPECT_ANY_THROW(detector_->scan_verilog_many(sources, 2));
-}
-
-TEST(ScanManyUnfitted, ThrowsLogicError) {
-  const core::NoodleDetector detector;
-  const std::vector<data::FeatureSample> samples(1);
-  EXPECT_THROW(detector.scan_many(samples, 2), std::logic_error);
+  EXPECT_ANY_THROW(model_->scan_verilog_many(sources, 2));
 }
 
 }  // namespace

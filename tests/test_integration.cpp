@@ -1,5 +1,5 @@
-// End-to-end tests of the experiment harness and the NoodleDetector public
-// API, run on deliberately small configurations so ctest stays fast while
+// End-to-end tests of the experiment harness and of NoodleDetector plus the
+// FittedModel it produces, run on deliberately small configurations so ctest stays fast while
 // still covering the full corpus -> features -> GAN -> CNN -> ICP -> fusion
 // pipeline.
 
@@ -117,11 +117,12 @@ data::CorpusSpec small_corpus_spec(std::uint64_t seed = 21) {
 
 TEST(Detector, FitAndScanInfectedVsClean) {
   NoodleDetector detector(small_detector_config());
-  EXPECT_FALSE(detector.fitted());
+  EXPECT_EQ(detector.fitted_model(), nullptr);
   detector.fit(data::build_corpus(small_corpus_spec()));
-  EXPECT_TRUE(detector.fitted());
-  EXPECT_TRUE(detector.winning_fusion() == "early_fusion" ||
-              detector.winning_fusion() == "late_fusion");
+  const std::shared_ptr<const FittedModel> model = detector.fitted_model();
+  ASSERT_NE(model, nullptr);
+  EXPECT_TRUE(model->winning_fusion() == "early_fusion" ||
+              model->winning_fusion() == "late_fusion");
 
   // Score a held-out corpus: infected circuits must receive higher
   // probabilities than clean ones on average.
@@ -129,10 +130,10 @@ TEST(Detector, FitAndScanInfectedVsClean) {
   double infected_sum = 0.0, clean_sum = 0.0;
   std::size_t infected_count = 0, clean_count = 0;
   for (const auto& circuit : probe) {
-    const DetectionReport report = detector.scan_verilog(circuit.verilog);
+    const DetectionReport report = model->scan_verilog(circuit.verilog);
     EXPECT_GE(report.probability, 0.0);
     EXPECT_LE(report.probability, 1.0);
-    EXPECT_EQ(report.fusion_used, detector.winning_fusion());
+    EXPECT_EQ(report.fusion_used, model->winning_fusion());
     if (circuit.infected) {
       infected_sum += report.probability;
       ++infected_count;
@@ -151,7 +152,7 @@ TEST(Detector, ReportFieldsConsistent) {
   NoodleDetector detector(small_detector_config());
   detector.fit(data::build_corpus(small_corpus_spec(31)));
   const auto probe = data::build_corpus(small_corpus_spec(32));
-  const DetectionReport report = detector.scan_verilog(probe.front().verilog);
+  const DetectionReport report = detector.fitted_model()->scan_verilog(probe.front().verilog);
   EXPECT_EQ(report.predicted_label, report.region.point_prediction);
   EXPECT_EQ(report.p_values, report.region.p);
   EXPECT_GE(report.region.credibility, 0.0);
@@ -159,15 +160,14 @@ TEST(Detector, ReportFieldsConsistent) {
 
 TEST(Detector, ScanBeforeFitThrows) {
   NoodleDetector detector(small_detector_config());
-  EXPECT_THROW(detector.scan_verilog("module m (input a, output y); endmodule"),
-               std::logic_error);
-  EXPECT_THROW(detector.winning_fusion(), std::logic_error);
+  EXPECT_EQ(detector.fitted_model(), nullptr);
 }
 
 TEST(Detector, MalformedVerilogThrowsParseError) {
   NoodleDetector detector(small_detector_config());
   detector.fit(data::build_corpus(small_corpus_spec(41)));
-  EXPECT_THROW(detector.scan_verilog("module broken ("), verilog::ParseError);
+  EXPECT_THROW(detector.fitted_model()->scan_verilog("module broken ("),
+               verilog::ParseError);
 }
 
 TEST(Detector, EmptyCorpusRejected) {
@@ -179,9 +179,9 @@ TEST(Detector, MoveSemantics) {
   NoodleDetector a(small_detector_config());
   a.fit(data::build_corpus(small_corpus_spec(51)));
   NoodleDetector b = std::move(a);
-  EXPECT_TRUE(b.fitted());
+  ASSERT_NE(b.fitted_model(), nullptr);
   const auto probe = data::build_corpus(small_corpus_spec(52));
-  EXPECT_NO_THROW(b.scan_verilog(probe.front().verilog));
+  EXPECT_NO_THROW(b.fitted_model()->scan_verilog(probe.front().verilog));
 }
 
 }  // namespace

@@ -435,21 +435,21 @@ class LintVerdictIdentity : public ::testing::Test {
     config.gan.epochs = 10;
     config.fusion.train.epochs = 5;
     config.fusion.train.validation_fraction = 0.0;
-    detector_ = new core::NoodleDetector(config);
+    core::NoodleDetector detector(config);
 
     data::CorpusSpec spec;
     spec.design_count = 48;
     spec.infected_fraction = 0.35;
     spec.seed = 11;
     corpus_ = new std::vector<data::CircuitSample>(data::build_corpus(spec));
-    detector_->fit(*corpus_);
+    detector.fit(*corpus_);
+    model_ = detector.fitted_model();
   }
 
   static void TearDownTestSuite() {
     delete corpus_;
     corpus_ = nullptr;
-    delete detector_;
-    detector_ = nullptr;
+    model_.reset();
   }
 
   static void expect_identical_verdict(const core::DetectionReport& a,
@@ -464,18 +464,18 @@ class LintVerdictIdentity : public ::testing::Test {
     EXPECT_EQ(a.fusion_used, b.fusion_used);
   }
 
-  static core::NoodleDetector* detector_;
+  static std::shared_ptr<const core::FittedModel> model_;
   static std::vector<data::CircuitSample>* corpus_;
 };
 
-core::NoodleDetector* LintVerdictIdentity::detector_ = nullptr;
+std::shared_ptr<const core::FittedModel> LintVerdictIdentity::model_;
 std::vector<data::CircuitSample>* LintVerdictIdentity::corpus_ = nullptr;
 
 TEST_F(LintVerdictIdentity, ScanVerilogVerdictUnchangedByLint) {
   for (std::size_t i = 0; i < corpus_->size(); i += 7) {
     const std::string& source = (*corpus_)[i].verilog;
-    const core::DetectionReport plain = detector_->scan_verilog(source);
-    const core::DetectionReport linted = detector_->scan_verilog(source, true);
+    const core::DetectionReport plain = model_->scan_verilog(source);
+    const core::DetectionReport linted = model_->scan_verilog(source, true);
     expect_identical_verdict(plain, linted);
     EXPECT_FALSE(plain.lint_ran);
     EXPECT_TRUE(plain.lint_findings.empty());
@@ -488,8 +488,8 @@ TEST_F(LintVerdictIdentity, ScanVerilogManyVerdictUnchangedByLint) {
   for (std::size_t i = 0; i < corpus_->size() && sources.size() < 12; i += 4) {
     sources.push_back((*corpus_)[i].verilog);
   }
-  const auto plain = detector_->scan_verilog_many(sources, 2);
-  const auto linted = detector_->scan_verilog_many(sources, 2, true);
+  const auto plain = model_->scan_verilog_many(sources, 2);
+  const auto linted = model_->scan_verilog_many(sources, 2, true);
   ASSERT_EQ(plain.size(), linted.size());
   for (std::size_t i = 0; i < plain.size(); ++i) {
     expect_identical_verdict(plain[i], linted[i]);
@@ -505,7 +505,7 @@ TEST_F(LintVerdictIdentity, InfectedScanSurfacesTrojanSignatureFindings) {
   for (const data::CircuitSample& circuit : *corpus_) {
     if (!circuit.infected) continue;
     if (++infected_checked > 6) break;
-    const core::DetectionReport report = detector_->scan_verilog(circuit.verilog, true);
+    const core::DetectionReport report = model_->scan_verilog(circuit.verilog, true);
     bool trojan_flagged = false;
     for (const lint::OwnedFinding& finding : report.lint_findings) {
       trojan_flagged |= lint::rule_info(finding.rule).trojan_signature;

@@ -222,17 +222,20 @@ struct ServerHarness {
 class ScanServerFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    core::NoodleDetector gen_a(quick_config(7));
-    gen_a.fit(data::build_corpus(quick_corpus(7, 72)));
-    core::NoodleDetector gen_b(quick_config(11));
-    gen_b.fit(data::build_corpus(quick_corpus(11, 64)));
+    const auto fit = [](std::uint64_t seed, std::size_t designs) {
+      core::NoodleDetector detector(quick_config(seed));
+      detector.fit(data::build_corpus(quick_corpus(seed, designs)));
+      return detector.fitted_model();
+    };
+    const std::shared_ptr<const core::FittedModel> gen_a = fit(7, 72);
+    const std::shared_ptr<const core::FittedModel> gen_b = fit(11, 64);
 
     dir_ = std::filesystem::temp_directory_path() / "noodle_net_tests";
     std::filesystem::create_directories(dir_);
     path_a_ = dir_ / "gen_a.snap";
     path_b_ = dir_ / "gen_b.snap";
-    gen_a.save(path_a_);
-    gen_b.save(path_b_);
+    gen_a->save(path_a_);
+    gen_b->save(path_b_);
 
     files_ = new std::vector<std::string>();
     prefix_a_ = new std::vector<std::string>();
@@ -244,8 +247,8 @@ class ScanServerFixture : public ::testing::Test {
       out << circuit.verilog;
       files_->push_back(file.string());
       const data::FeatureSample sample = data::featurize(circuit);
-      prefix_a_->push_back(line_prefix(gen_a.scan_features(sample)));
-      prefix_b_->push_back(line_prefix(gen_b.scan_features(sample)));
+      prefix_a_->push_back(line_prefix(gen_a->scan_features(sample)));
+      prefix_b_->push_back(line_prefix(gen_b->scan_features(sample)));
     }
   }
 

@@ -32,10 +32,13 @@ std::filesystem::path temp_path(const char* name) {
 class RegistryFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    gen_a_ = new core::NoodleDetector(quick_config(7));
-    gen_a_->fit(data::build_corpus(quick_corpus(7, 72)));
-    gen_b_ = new core::NoodleDetector(quick_config(11));
-    gen_b_->fit(data::build_corpus(quick_corpus(11, 64)));
+    const auto fit = [](std::uint64_t seed, std::size_t designs) {
+      core::NoodleDetector detector(quick_config(seed));
+      detector.fit(data::build_corpus(quick_corpus(seed, designs)));
+      return detector.fitted_model();
+    };
+    gen_a_ = fit(7, 72);
+    gen_b_ = fit(11, 64);
 
     path_a_ = temp_path("noodle_registry_a.snap");
     path_b_ = temp_path("noodle_registry_b.snap");
@@ -63,10 +66,8 @@ class RegistryFixture : public ::testing::Test {
     sources_ = nullptr;
     delete samples_;
     samples_ = nullptr;
-    delete gen_b_;
-    gen_b_ = nullptr;
-    delete gen_a_;
-    gen_a_ = nullptr;
+    gen_b_.reset();
+    gen_a_.reset();
   }
 
   static core::DetectorConfig quick_config(std::uint64_t seed) {
@@ -93,8 +94,8 @@ class RegistryFixture : public ::testing::Test {
            a.fusion_used == b.fusion_used;
   }
 
-  static core::NoodleDetector* gen_a_;
-  static core::NoodleDetector* gen_b_;
+  static std::shared_ptr<const core::FittedModel> gen_a_;
+  static std::shared_ptr<const core::FittedModel> gen_b_;
   static std::filesystem::path path_a_;
   static std::filesystem::path path_b_;
   static std::vector<data::FeatureSample>* samples_;
@@ -103,8 +104,8 @@ class RegistryFixture : public ::testing::Test {
   static std::vector<core::DetectionReport>* ref_b_;
 };
 
-core::NoodleDetector* RegistryFixture::gen_a_ = nullptr;
-core::NoodleDetector* RegistryFixture::gen_b_ = nullptr;
+std::shared_ptr<const core::FittedModel> RegistryFixture::gen_a_;
+std::shared_ptr<const core::FittedModel> RegistryFixture::gen_b_;
 std::filesystem::path RegistryFixture::path_a_;
 std::filesystem::path RegistryFixture::path_b_;
 std::vector<data::FeatureSample>* RegistryFixture::samples_ = nullptr;
@@ -142,13 +143,12 @@ TEST(ModelSpecParsing, RejectsMalformedSpecs) {
 TEST_F(RegistryFixture, PublishResolveRetireSemantics) {
   serve::ModelRegistry registry;
   EXPECT_THROW(registry.publish("m", nullptr), serve::RegistryError);
-  EXPECT_THROW(registry.publish("bad name", gen_a_->fitted_model()),
-               serve::RegistryError);
+  EXPECT_THROW(registry.publish("bad name", gen_a_), serve::RegistryError);
   EXPECT_THROW(registry.resolve("m"), serve::RegistryError);
   EXPECT_THROW(registry.latest_view("m"), serve::RegistryError);
 
-  const serve::ModelHandle v1 = registry.publish("m", gen_a_->fitted_model());
-  const serve::ModelHandle v2 = registry.publish("m", gen_b_->fitted_model());
+  const serve::ModelHandle v1 = registry.publish("m", gen_a_);
+  const serve::ModelHandle v2 = registry.publish("m", gen_b_);
   EXPECT_EQ(v1->version(), 1u);
   EXPECT_EQ(v2->version(), 2u);
   EXPECT_EQ(v1->label(), "m@1");
@@ -172,7 +172,7 @@ TEST_F(RegistryFixture, PublishResolveRetireSemantics) {
   EXPECT_TRUE(registry.names().empty());
 
   // Versions keep counting after a full retire (no id/version recycling).
-  const serve::ModelHandle v3 = registry.publish("m", gen_a_->fitted_model());
+  const serve::ModelHandle v3 = registry.publish("m", gen_a_);
   EXPECT_EQ(v3->version(), 3u);
 }
 
@@ -205,13 +205,13 @@ TEST_F(RegistryFixture, ReloadFromLoadsValidatesAndSwaps) {
 
 TEST_F(RegistryFixture, LatestViewTracksSwapsWithoutLocks) {
   serve::ModelRegistry registry;
-  registry.publish("m", gen_a_->fitted_model());
+  registry.publish("m", gen_a_);
   const serve::ModelRegistry::LatestView view = registry.latest_view("m");
   const serve::ModelHandle first = view.get();
   ASSERT_NE(first, nullptr);
   EXPECT_EQ(first->version(), 1u);
 
-  registry.publish("m", gen_b_->fitted_model());
+  registry.publish("m", gen_b_);
   EXPECT_EQ(view.get()->version(), 2u);
 
   registry.retire("m");

@@ -1,5 +1,5 @@
 // Tests for the serving subsystem: binary-IO primitives, the snapshot
-// archive format, NoodleDetector save/load round-trip bit-identity, the
+// archive format, FittedModel save/load round-trip bit-identity, the
 // archive's corruption defenses, and DetectionService batching/caching
 // returning verdicts identical to direct sequential scans.
 
@@ -129,14 +129,15 @@ class DetectorSnapshot : public ::testing::Test {
     config.gan.epochs = 20;
     config.fusion.train.epochs = 8;
     config.fusion.train.validation_fraction = 0.0;
-    detector_ = new core::NoodleDetector(config);
+    core::NoodleDetector detector(config);
 
     data::CorpusSpec spec;
     spec.design_count = 72;
     spec.infected_fraction = 0.35;
     spec.seed = 7;
     corpus_ = new std::vector<data::CircuitSample>(data::build_corpus(spec));
-    detector_->fit(*corpus_);
+    detector.fit(*corpus_);
+    model_ = detector.fitted_model();
 
     samples_ = new std::vector<data::FeatureSample>();
     for (const auto& circuit : *corpus_) samples_->push_back(data::featurize(circuit));
@@ -147,8 +148,14 @@ class DetectorSnapshot : public ::testing::Test {
     samples_ = nullptr;
     delete corpus_;
     corpus_ = nullptr;
-    delete detector_;
-    detector_ = nullptr;
+    model_.reset();
+  }
+
+  /// Saves the suite's model to a temp snapshot and returns its path.
+  static std::filesystem::path saved(const char* name) {
+    const auto path = temp_snapshot_path(name);
+    model_->save(path);
+    return path;
   }
 
   static void expect_identical_report(const core::DetectionReport& a,
@@ -164,12 +171,12 @@ class DetectorSnapshot : public ::testing::Test {
     EXPECT_EQ(a.fusion_used, b.fusion_used);
   }
 
-  static core::NoodleDetector* detector_;
+  static std::shared_ptr<const core::FittedModel> model_;
   static std::vector<data::CircuitSample>* corpus_;
   static std::vector<data::FeatureSample>* samples_;
 };
 
-core::NoodleDetector* DetectorSnapshot::detector_ = nullptr;
+std::shared_ptr<const core::FittedModel> DetectorSnapshot::model_;
 std::vector<data::CircuitSample>* DetectorSnapshot::corpus_ = nullptr;
 std::vector<data::FeatureSample>* DetectorSnapshot::samples_ = nullptr;
 
@@ -177,15 +184,15 @@ TEST_F(DetectorSnapshot, SaveLoadRoundTripIsBitIdentical) {
   const auto path = temp_snapshot_path("noodle_roundtrip.snap");
   // Saving must work through a const reference (a fitted model is
   // immutable at serving time).
-  const core::NoodleDetector& fitted = *detector_;
+  const core::FittedModel& fitted = *model_;
   fitted.save(path);
 
-  const core::NoodleDetector loaded = core::NoodleDetector::from_snapshot(path);
-  EXPECT_TRUE(loaded.fitted());
-  EXPECT_EQ(loaded.winning_fusion(), detector_->winning_fusion());
+  const std::shared_ptr<const core::FittedModel> loaded = core::FittedModel::load(path);
+  ASSERT_NE(loaded, nullptr);
+  EXPECT_EQ(loaded->winning_fusion(), model_->winning_fusion());
   for (const auto& sample : *samples_) {
-    expect_identical_report(loaded.scan_features(sample),
-                            detector_->scan_features(sample));
+    expect_identical_report(loaded->scan_features(sample),
+                            model_->scan_features(sample));
   }
   std::filesystem::remove(path);
 }
@@ -194,13 +201,13 @@ TEST_F(DetectorSnapshot, RoundTripSurvivesASecondGeneration) {
   // save -> load -> save -> load must stay stable (no drift in the format).
   const auto path1 = temp_snapshot_path("noodle_gen1.snap");
   const auto path2 = temp_snapshot_path("noodle_gen2.snap");
-  detector_->save(path1);
-  core::NoodleDetector first = core::NoodleDetector::from_snapshot(path1);
-  first.save(path2);
-  const core::NoodleDetector second = core::NoodleDetector::from_snapshot(path2);
+  model_->save(path1);
+  const std::shared_ptr<const core::FittedModel> first = core::FittedModel::load(path1);
+  first->save(path2);
+  const std::shared_ptr<const core::FittedModel> second = core::FittedModel::load(path2);
   for (std::size_t i = 0; i < 8 && i < samples_->size(); ++i) {
-    expect_identical_report(second.scan_features((*samples_)[i]),
-                            detector_->scan_features((*samples_)[i]));
+    expect_identical_report(second->scan_features((*samples_)[i]),
+                            model_->scan_features((*samples_)[i]));
   }
   std::filesystem::remove(path1);
   std::filesystem::remove(path2);
@@ -208,18 +215,18 @@ TEST_F(DetectorSnapshot, RoundTripSurvivesASecondGeneration) {
 
 TEST_F(DetectorSnapshot, ScanVerilogAfterLoadMatches) {
   const auto path = temp_snapshot_path("noodle_verilog.snap");
-  detector_->save(path);
-  const core::NoodleDetector loaded = core::NoodleDetector::from_snapshot(path);
+  model_->save(path);
+  const std::shared_ptr<const core::FittedModel> loaded = core::FittedModel::load(path);
   for (std::size_t i = 0; i < 4; ++i) {
-    expect_identical_report(loaded.scan_verilog((*corpus_)[i].verilog),
-                            detector_->scan_verilog((*corpus_)[i].verilog));
+    expect_identical_report(loaded->scan_verilog((*corpus_)[i].verilog),
+                            model_->scan_verilog((*corpus_)[i].verilog));
   }
   std::filesystem::remove(path);
 }
 
-TEST_F(DetectorSnapshot, CorruptedOrTruncatedSnapshotThrowsAndLeavesDetectorIntact) {
+TEST_F(DetectorSnapshot, CorruptedOrTruncatedSnapshotThrows) {
   const auto path = temp_snapshot_path("noodle_corrupt.snap");
-  detector_->save(path);
+  model_->save(path);
   std::string bytes;
   {
     std::ifstream is(path, std::ios::binary);
@@ -233,23 +240,19 @@ TEST_F(DetectorSnapshot, CorruptedOrTruncatedSnapshotThrowsAndLeavesDetectorInta
 
   // Truncated to half.
   write_variant(bytes.substr(0, bytes.size() / 2));
-  core::NoodleDetector victim;
-  EXPECT_THROW(victim.load(path), serve::SnapshotError);
-  EXPECT_FALSE(victim.fitted());  // failed load must not half-populate
+  EXPECT_THROW(core::FittedModel::load(path), serve::SnapshotError);
 
   // One corrupted byte deep inside the weight payload.
   std::string flipped = bytes;
   flipped[flipped.size() / 2] ^= 0x01;
   write_variant(flipped);
-  EXPECT_THROW(victim.load(path), serve::SnapshotError);
-  EXPECT_FALSE(victim.fitted());
+  EXPECT_THROW(core::FittedModel::load(path), serve::SnapshotError);
 
   // Version bump.
   std::string wrong_version = bytes;
   wrong_version[8] = static_cast<char>(serve::kSnapshotVersion + 7);
   write_variant(wrong_version);
-  EXPECT_THROW(victim.load(path), serve::SnapshotError);
-  EXPECT_FALSE(victim.fitted());
+  EXPECT_THROW(core::FittedModel::load(path), serve::SnapshotError);
 
   std::filesystem::remove(path);
 }
@@ -267,41 +270,34 @@ TEST_F(DetectorSnapshot, ArchiveVersionTracksTheFeaturesUsed) {
   };
 
   const auto path = temp_snapshot_path("noodle_versions.snap");
-  detector_->save(path, nn::WeightPrecision::F64);
+  model_->save(path, nn::WeightPrecision::F64);
   EXPECT_EQ(version_byte(path), serve::kSnapshotVersionMin);
-  const core::NoodleDetector full = core::NoodleDetector::from_snapshot(path);
+  const std::shared_ptr<const core::FittedModel> full = core::FittedModel::load(path);
   for (std::size_t i = 0; i < 4; ++i) {
-    expect_identical_report(full.scan_features((*samples_)[i]),
-                            detector_->scan_features((*samples_)[i]));
+    expect_identical_report(full->scan_features((*samples_)[i]),
+                            model_->scan_features((*samples_)[i]));
   }
 
-  detector_->save(path, nn::WeightPrecision::F32);
+  model_->save(path, nn::WeightPrecision::F32);
   EXPECT_EQ(version_byte(path), 2u);
-  EXPECT_NO_THROW(core::NoodleDetector::from_snapshot(path));
+  EXPECT_NO_THROW(core::FittedModel::load(path));
 
-  detector_->save(path, nn::WeightPrecision::I8);
+  model_->save(path, nn::WeightPrecision::I8);
   EXPECT_EQ(version_byte(path), serve::kSnapshotVersion);
-  EXPECT_NO_THROW(core::NoodleDetector::from_snapshot(path));
+  EXPECT_NO_THROW(core::FittedModel::load(path));
   std::filesystem::remove(path);
 }
 
 TEST_F(DetectorSnapshot, MissingFileThrows) {
-  core::NoodleDetector victim;
-  EXPECT_THROW(victim.load(temp_snapshot_path("noodle_does_not_exist.snap")),
+  EXPECT_THROW(core::FittedModel::load(temp_snapshot_path("noodle_does_not_exist.snap")),
                serve::SnapshotError);
-}
-
-TEST(DetectorSnapshotUnfitted, SaveThrowsLogicError) {
-  const core::NoodleDetector detector;
-  EXPECT_THROW(detector.save(temp_snapshot_path("noodle_unfitted.snap")),
-               std::logic_error);
 }
 
 // --- DetectionService --------------------------------------------------------
 
 TEST_F(DetectorSnapshot, ServiceMatchesSequentialScansUnderConcurrency) {
   const auto path = temp_snapshot_path("noodle_service.snap");
-  detector_->save(path);
+  model_->save(path);
 
   serve::ServiceConfig config;
   config.max_batch = 4;
@@ -314,7 +310,7 @@ TEST_F(DetectorSnapshot, ServiceMatchesSequentialScansUnderConcurrency) {
   for (const auto& circuit : *corpus_) futures.push_back(service.submit(circuit.verilog));
   for (std::size_t i = 0; i < futures.size(); ++i) {
     expect_identical_report(futures[i].get(),
-                            detector_->scan_verilog((*corpus_)[i].verilog));
+                            model_->scan_verilog((*corpus_)[i].verilog));
   }
 
   const serve::ServiceStats stats = service.stats();
@@ -327,19 +323,14 @@ TEST_F(DetectorSnapshot, ServiceMatchesSequentialScansUnderConcurrency) {
 TEST_F(DetectorSnapshot, ServiceCacheHitsDoNotChangeResults) {
   serve::ServiceConfig config;
   config.max_batch = 8;
-  core::NoodleDetector loaded;
-  {
-    const auto path = temp_snapshot_path("noodle_cache.snap");
-    detector_->save(path);
-    loaded.load(path);
-    std::filesystem::remove(path);
-  }
-  serve::DetectionService service(std::move(loaded), config);
+  const auto path = saved("noodle_cache.snap");
+  serve::DetectionService service(path, config);
+  std::filesystem::remove(path);
 
   const std::string& source = (*corpus_)[0].verilog;
   const core::DetectionReport first = service.scan(source);
   const core::DetectionReport again = service.scan(source);
-  const core::DetectionReport direct = detector_->scan_verilog(source);
+  const core::DetectionReport direct = model_->scan_verilog(source);
   expect_identical_report(first, direct);
   expect_identical_report(again, direct);
 
@@ -353,44 +344,35 @@ TEST_F(DetectorSnapshot, ServiceCacheHitsDoNotChangeResults) {
 TEST_F(DetectorSnapshot, ServiceCacheEvictsAtCapacityAndStaysCorrect) {
   serve::ServiceConfig config;
   config.cache_capacity = 2;
-  core::NoodleDetector copy = core::NoodleDetector::from_snapshot([&] {
-    const auto path = temp_snapshot_path("noodle_evict.snap");
-    detector_->save(path);
-    return path;
-  }());
-  serve::DetectionService service(std::move(copy), config);
+  const auto path = saved("noodle_evict.snap");
+  serve::DetectionService service(path, config);
+  std::filesystem::remove(path);
 
   for (std::size_t round = 0; round < 2; ++round) {
     for (std::size_t i = 0; i < 4; ++i) {
       expect_identical_report(service.scan((*corpus_)[i].verilog),
-                              detector_->scan_verilog((*corpus_)[i].verilog));
+                              model_->scan_verilog((*corpus_)[i].verilog));
     }
   }
   EXPECT_LE(service.cache_size(), 2u);
-  std::filesystem::remove(temp_snapshot_path("noodle_evict.snap"));
 }
 
 TEST_F(DetectorSnapshot, ServiceIsolatesParseErrorsToTheirOwnFuture) {
   serve::ServiceConfig config;
   config.max_batch = 3;
-  core::NoodleDetector copy;
-  {
-    const auto path = temp_snapshot_path("noodle_parse.snap");
-    detector_->save(path);
-    copy.load(path);
-    std::filesystem::remove(path);
-  }
-  serve::DetectionService service(std::move(copy), config);
+  const auto path = saved("noodle_parse.snap");
+  serve::DetectionService service(path, config);
+  std::filesystem::remove(path);
 
   auto good_before = service.submit((*corpus_)[0].verilog);
   auto bad = service.submit("module broken(");
   auto good_after = service.submit((*corpus_)[1].verilog);
 
   expect_identical_report(good_before.get(),
-                          detector_->scan_verilog((*corpus_)[0].verilog));
+                          model_->scan_verilog((*corpus_)[0].verilog));
   EXPECT_ANY_THROW(bad.get());
   expect_identical_report(good_after.get(),
-                          detector_->scan_verilog((*corpus_)[1].verilog));
+                          model_->scan_verilog((*corpus_)[1].verilog));
   service.drain();
   EXPECT_EQ(service.stats().parse_failures, 1u);
 }
@@ -415,7 +397,7 @@ TEST_F(DetectorSnapshot, DiskTierServesBitIdenticalVerdictsAcrossRestarts) {
   // same snapshot) must answer from the disk tier — no model scan — with a
   // report bit-identical to a direct cold scan.
   const auto path = temp_snapshot_path("noodle_disk_tier.snap");
-  detector_->save(path);
+  model_->save(path);
   const auto cache_dir =
       std::filesystem::temp_directory_path() / "noodle_disk_tier_cache";
   std::filesystem::remove_all(cache_dir);
@@ -428,7 +410,7 @@ TEST_F(DetectorSnapshot, DiskTierServesBitIdenticalVerdictsAcrossRestarts) {
     serve::DetectionService service(path, config);
     ASSERT_NE(service.disk_cache(), nullptr);
     expect_identical_report(service.scan(source),
-                            detector_->scan_verilog(source));
+                            model_->scan_verilog(source));
     service.disk_cache()->flush();
     EXPECT_EQ(service.disk_cache_stats().stores, 1u);
     EXPECT_EQ(service.stats().disk_hits, 0u);
@@ -438,7 +420,7 @@ TEST_F(DetectorSnapshot, DiskTierServesBitIdenticalVerdictsAcrossRestarts) {
     EXPECT_EQ(service.disk_cache_stats().loaded, 1u)
         << "restart scanner did not pick up the persisted record";
     const core::DetectionReport warm = service.scan(source);
-    expect_identical_report(warm, detector_->scan_verilog(source));
+    expect_identical_report(warm, model_->scan_verilog(source));
     EXPECT_FALSE(warm.served_by.empty());
 
     const serve::ServiceStats stats = service.stats();
@@ -459,39 +441,24 @@ TEST_F(DetectorSnapshot, DiskTierServesBitIdenticalVerdictsAcrossRestarts) {
 TEST_F(DetectorSnapshot, DiskTierDisabledServiceBehavesExactlyAsBefore) {
   // No disk_cache directory configured: the tier must not exist, stats stay
   // all-zero/disabled, and scans behave identically to the pre-disk world.
-  core::NoodleDetector copy;
-  {
-    const auto path = temp_snapshot_path("noodle_no_disk.snap");
-    detector_->save(path);
-    copy.load(path);
-    std::filesystem::remove(path);
-  }
-  serve::DetectionService service(std::move(copy), serve::ServiceConfig{});
+  const auto path = saved("noodle_no_disk.snap");
+  serve::DetectionService service(path, serve::ServiceConfig{});
+  std::filesystem::remove(path);
   EXPECT_EQ(service.disk_cache(), nullptr);
   const serve::DiskCacheStats stats = service.disk_cache_stats();
   EXPECT_FALSE(stats.enabled);
   EXPECT_EQ(stats.entries, 0u);
   expect_identical_report(service.scan((*corpus_)[0].verilog),
-                          detector_->scan_verilog((*corpus_)[0].verilog));
+                          model_->scan_verilog((*corpus_)[0].verilog));
   EXPECT_EQ(service.stats().disk_hits, 0u);
-}
-
-TEST(DetectionServiceConfig, RejectsUnfittedDetector) {
-  EXPECT_THROW(serve::DetectionService(core::NoodleDetector{}, serve::ServiceConfig{}),
-               std::invalid_argument);
 }
 
 // --- observability: cache-probe accounting, timing, metrics mirror -----------
 
 TEST_F(DetectorSnapshot, CacheProbeAccountingIsExactUnderLintToggles) {
-  core::NoodleDetector copy;
-  {
-    const auto path = temp_snapshot_path("noodle_probes.snap");
-    detector_->save(path);
-    copy.load(path);
-    std::filesystem::remove(path);
-  }
-  serve::DetectionService service(std::move(copy), serve::ServiceConfig{});
+  const auto path = saved("noodle_probes.snap");
+  serve::DetectionService service(path, serve::ServiceConfig{});
+  std::filesystem::remove(path);
   const std::string& source = (*corpus_)[0].verilog;
 
   // lint off: first scan misses (absent), second hits.
@@ -528,14 +495,9 @@ TEST_F(DetectorSnapshot, CacheProbeAccountingIsExactUnderLintToggles) {
 }
 
 TEST_F(DetectorSnapshot, StatsAndMetricsMirrorNeverDisagree) {
-  core::NoodleDetector copy;
-  {
-    const auto path = temp_snapshot_path("noodle_mirror.snap");
-    detector_->save(path);
-    copy.load(path);
-    std::filesystem::remove(path);
-  }
-  serve::DetectionService service(std::move(copy), serve::ServiceConfig{});
+  const auto path = saved("noodle_mirror.snap");
+  serve::DetectionService service(path, serve::ServiceConfig{});
+  std::filesystem::remove(path);
   for (std::size_t i = 0; i < 6; ++i) {
     service.scan((*corpus_)[i % 3].verilog);
   }
@@ -559,14 +521,9 @@ TEST_F(DetectorSnapshot, StatsAndMetricsMirrorNeverDisagree) {
 }
 
 TEST_F(DetectorSnapshot, ReportsCarryTimingAndDistinctTraceIds) {
-  core::NoodleDetector copy;
-  {
-    const auto path = temp_snapshot_path("noodle_timing.snap");
-    detector_->save(path);
-    copy.load(path);
-    std::filesystem::remove(path);
-  }
-  serve::DetectionService service(std::move(copy), serve::ServiceConfig{});
+  const auto path = saved("noodle_timing.snap");
+  serve::DetectionService service(path, serve::ServiceConfig{});
+  std::filesystem::remove(path);
 
   const core::DetectionReport a = service.scan((*corpus_)[0].verilog);
   const core::DetectionReport b = service.scan((*corpus_)[1].verilog);

@@ -32,23 +32,19 @@ class SnapshotStoreTest : public ::testing::Test {
     config.gan.epochs = 20;
     config.fusion.train.epochs = 8;
     config.fusion.train.validation_fraction = 0.0;
-    detector_ = new core::NoodleDetector(config);
+    core::NoodleDetector detector(config);
 
     data::CorpusSpec spec;
     spec.design_count = 72;
     spec.infected_fraction = 0.35;
     spec.seed = 7;
-    detector_->fit(data::build_corpus(spec));
+    detector.fit(data::build_corpus(spec));
 
     archive_ = fs::temp_directory_path() / "noodle_store_suite.snap";
-    detector_->save(archive_);
+    detector.fitted_model()->save(archive_);
   }
 
-  static void TearDownTestSuite() {
-    fs::remove(archive_);
-    delete detector_;
-    detector_ = nullptr;
-  }
+  static void TearDownTestSuite() { fs::remove(archive_); }
 
   void SetUp() override {
     dir_ = fs::temp_directory_path() /
@@ -67,12 +63,10 @@ class SnapshotStoreTest : public ::testing::Test {
     return destination;
   }
 
-  static core::NoodleDetector* detector_;
   static fs::path archive_;
   fs::path dir_;
 };
 
-core::NoodleDetector* SnapshotStoreTest::detector_ = nullptr;
 fs::path SnapshotStoreTest::archive_;
 
 TEST_F(SnapshotStoreTest, DroppedArchivePublishesUnderItsStem) {
@@ -126,9 +120,9 @@ TEST_F(SnapshotStoreTest, OverwrittenBytesPublishANewVersion) {
   // detector (identical verdicts, but a fresh serialization is not
   // guaranteed byte-identical... so force distinct bytes the honest way:
   // save a genuinely distinct generation from a reloaded copy).
-  core::NoodleDetector reloaded = core::NoodleDetector::from_snapshot(archive_);
+  const std::shared_ptr<const core::FittedModel> reloaded = core::FittedModel::load(archive_);
   const fs::path regenerated = fs::temp_directory_path() / "noodle_store_regen.snap";
-  reloaded.save(regenerated);
+  reloaded->save(regenerated);
   std::uintmax_t size_before = fs::file_size(dir_ / "alpha.snap");
   fs::copy_file(regenerated, dir_ / "alpha.snap",
                 fs::copy_options::overwrite_existing);

@@ -333,6 +333,7 @@ void publish_default(serve::ModelRegistry& registry, const Options& options) {
   } else {
     detector.fit_default();
   }
+  std::shared_ptr<const core::FittedModel> model = detector.fitted_model();
   if (!options.snapshot.empty()) {
     nn::WeightPrecision precision = nn::WeightPrecision::F64;
     const char* note = "";
@@ -343,12 +344,11 @@ void publish_default(serve::ModelRegistry& registry, const Options& options) {
       precision = nn::WeightPrecision::I8;
       note = " (int8 weights)";
     }
-    detector.save(options.snapshot, precision);
+    model->save(options.snapshot, precision);
     std::cerr << "noodled: saved snapshot to " << options.snapshot.string() << note
               << "\n";
   }
-  registry.publish(serve::kDefaultModelName, detector.fitted_model(),
-                   options.snapshot);
+  registry.publish(serve::kDefaultModelName, std::move(model), options.snapshot);
 }
 
 void print_stats_line(std::ostream& out, const char* label,
